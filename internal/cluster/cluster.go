@@ -343,7 +343,10 @@ func runAttempt(ctx context.Context, j Job, inj *fault.Injector, attempt int) (r
 	}
 	rng := sim.NewRNG(seed)
 
-	node, err := setupNode(k, j, rng.Split())
+	// Node setup draws no randomness, but the split stays so the step
+	// loop below keeps the draw sequence every recorded result has.
+	rng.Split()
+	node, err := setupNode(k, j)
 	if err != nil {
 		return Result{}, 0, 0, false, err
 	}

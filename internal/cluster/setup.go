@@ -70,49 +70,71 @@ func (ns *nodeState) buildColumns() {
 	}
 }
 
-// rotateLocalFirst orders domain ids so that the rank's home-quadrant
-// domain of each kind comes first — the NUMA-aware placement both LWKs
-// implement.
-func rotateLocalFirst(ids []int, home int) []int {
-	out := make([]int, 0, len(ids))
+// placement is where the ranks homed on one quadrant put their memory: the
+// home domains and the local-first domain orders every policy below is
+// built from. setupNode derives it once per quadrant — at most four per
+// node — and all ranks of the quadrant share it, so its lists are clipped
+// and read-only.
+type placement struct {
+	mcHome, ddrHome int
+	// mc and ddr list the MCDRAM and DDR4 domains, home domain first;
+	// mcDDR is mc followed by ddr, the MCDRAM-first spill order.
+	mc, ddr, mcDDR []int
+	// mos is mOS's rigid NUMA-respecting order: local MCDRAM, local
+	// DDR4, then the remaining MCDRAM and DDR4 domains.
+	mos []int
+}
+
+// newPlacement maps a quadrant index onto its local DDR domain and the
+// MCDRAM domain nearest to it, for any clustering mode (SNC-4 has four of
+// each; quadrant mode one of each), and orders mcAll and ddrAll — the
+// node's domains of each kind — local-first around them: the NUMA-aware
+// placement both LWKs implement.
+func newPlacement(node *hw.NodeSpec, mcAll, ddrAll []int, quad int) *placement {
+	ddrHome := ddrAll[quad%len(ddrAll)]
+	mcHome, err := node.NearestDomain(ddrHome, mcAll)
+	if err != nil {
+		mcHome = mcAll[0]
+	}
+	mcDDR := appendLocalFirst(make([]int, 0, len(mcAll)+len(ddrAll)), mcAll, mcHome)
+	nmc := len(mcDDR)
+	mcDDR = appendLocalFirst(mcDDR, ddrAll, ddrHome)
+	pl := &placement{
+		mcHome:  mcHome,
+		ddrHome: ddrHome,
+		mc:      mcDDR[:nmc:nmc],
+		ddr:     mcDDR[nmc:len(mcDDR):len(mcDDR)],
+		mcDDR:   mcDDR,
+	}
+	mos := append(make([]int, 0, len(mcDDR)), mcHome, ddrHome)
+	mos = append(mos, pl.mc[1:]...)
+	pl.mos = append(mos, pl.ddr[1:]...)
+	return pl
+}
+
+// appendLocalFirst appends ids to dst with home, if present, moved to the
+// front and the others in their original order.
+func appendLocalFirst(dst, ids []int, home int) []int {
 	for _, id := range ids {
 		if id == home {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
 	for _, id := range ids {
 		if id != home {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
-// homeDomains maps a rank's quadrant index onto its local DDR domain and
-// the MCDRAM domain nearest to it, for any clustering mode (SNC-4 has four
-// of each; quadrant mode one of each).
-func homeDomains(node *hw.NodeSpec, quad int) (mcHome, ddrHome int) {
-	ddr := node.DomainsOfKind(hw.DDR4)
-	ddrHome = ddr[quad%len(ddr)]
-	mc := node.DomainsOfKind(hw.MCDRAM)
-	mcHome, err := node.NearestDomain(ddrHome, mc)
-	if err != nil {
-		mcHome = mc[0]
-	}
-	return mcHome, ddrHome
-}
-
-// wsPolicy derives the working-set placement policy for one rank,
-// reproducing each kernel's behaviour described in section II-D.
-func wsPolicy(k kernel.Kernel, j Job, quad int, wsBytes int64) mem.Policy {
-	node := k.Partition().Node
-	mcHome, ddrHome := homeDomains(node, quad)
-	mc := rotateLocalFirst(node.DomainsOfKind(hw.MCDRAM), mcHome)
-	ddr := rotateLocalFirst(node.DomainsOfKind(hw.DDR4), ddrHome)
+// wsPolicy derives the working-set placement policy for one rank homed at
+// pl, reproducing each kernel's behaviour described in section II-D.
+func wsPolicy(k kernel.Kernel, j Job, pl *placement, wsBytes int64) mem.Policy {
 	pol := k.MapPolicy(mem.VMAAnon)
 
 	if j.ForceDDROnly {
-		pol.Domains = ddr
+		pol.Domains = pl.ddr
 		pol.FallbackDemand = false
 		return pol
 	}
@@ -123,31 +145,32 @@ func wsPolicy(k kernel.Kernel, j Job, quad int, wsBytes int64) mem.Policy {
 		case fitsInMCDRAM(j):
 			// numactl --membind on the MCDRAM domains: no
 			// fallback needed because the job is sized to fit.
-			pol.Domains = mc
-		case node.Mode == hw.Quadrant:
+			pol.Domains = pl.mc
+		case k.Partition().Node.Mode == hw.Quadrant:
 			// In quadrant mode numactl -p can express "prefer
 			// MCDRAM, spill to DDR" — the tuning route the paper
 			// notes most KNL clusters take.
-			pol.Domains = append(append([]int{}, mc...), ddr...)
+			pol.Domains = pl.mcDDR
 		default:
 			// SNC-4 prevents "prefer all MCDRAM, spill to DDR":
 			// the paper runs such jobs from DDR4 only.
-			pol.Domains = ddr
+			pol.Domains = pl.ddr
 		}
 	case kernel.TypeMcKernel:
-		pol.Domains = append(append([]int{}, mc...), ddr...)
+		pol.Domains = pl.mcDDR
 		// McKernel's distinctive fallback: when the preferred NUMA
 		// domain cannot back the mapping, switch to demand paging
 		// for best-effort placement instead of dividing upfront.
+		// Earlier ranks' mappings drain the home domain, so this is
+		// checked per rank.
 		if k.Caps().Has(kernel.CapDemandPagingFallback) &&
-			k.Phys().FreeBytes(mcHome) < wsBytes {
+			k.Phys().FreeBytes(pl.mcHome) < wsBytes {
 			pol.Demand = true
 		}
 	case kernel.TypeMOS:
 		// Rigid launch-time division respecting NUMA boundaries:
 		// local MCDRAM, then local DDR, then the rest.
-		rest := append(rotateLocalFirst(mc, mcHome)[1:], rotateLocalFirst(ddr, ddrHome)[1:]...)
-		pol.Domains = append([]int{mcHome, ddrHome}, rest...)
+		pol.Domains = pl.mos
 	}
 	return pol
 }
@@ -161,20 +184,29 @@ func fitsInMCDRAM(j Job) bool {
 
 // setupNode builds every rank's address space, working set, heap and MPI
 // shared-memory window through the kernel's real memory paths.
-func setupNode(k kernel.Kernel, j Job, rng *sim.RNG) (*nodeState, error) {
+func setupNode(k kernel.Kernel, j Job) (*nodeState, error) {
 	app := j.App
 	ws := app.WorkingSetPerRank(j.Nodes)
-	ns := &nodeState{}
+	ns := &nodeState{ranks: make([]*rankState, 0, app.RanksPerNode)}
 	costs := k.Costs()
+	node := k.Partition().Node
+	mcAll, ddrAll := node.DomainsOfKind(hw.MCDRAM), node.DomainsOfKind(hw.DDR4)
+	var quads [4]*placement
+	states := make([]rankState, app.RanksPerNode)
 
-	for r := 0; r < app.RanksPerNode; r++ {
+	for r := range states {
 		quad := r * 4 / app.RanksPerNode
-		rs := &rankState{id: r, homeQuad: quad, as: mem.NewAddrSpace(k.Phys())}
+		if quads[quad] == nil {
+			quads[quad] = newPlacement(node, mcAll, ddrAll, quad)
+		}
+		pl := quads[quad]
+		rs := &states[r]
+		*rs = rankState{id: r, homeQuad: quad, as: mem.NewAddrSpace(k.Phys())}
 		// Attach the run's sink before any mapping so placement, fault
 		// and heap counters cover the whole setup.
 		rs.as.SetSink(j.Sink)
 
-		pol := wsPolicy(k, j, quad, ws)
+		pol := wsPolicy(k, j, pl, ws)
 		v, err := rs.as.Map(ws, mem.VMAAnon, pol)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: rank %d working set: %w", r, err)
@@ -183,8 +215,7 @@ func setupNode(k kernel.Kernel, j Job, rng *sim.RNG) (*nodeState, error) {
 
 		var heapDomains []int
 		if j.ForceDDROnly {
-			_, ddrHome := homeDomains(k.Partition().Node, quad)
-			heapDomains = rotateLocalFirst(k.Partition().Node.DomainsOfKind(hw.DDR4), ddrHome)
+			heapDomains = pl.ddr
 		}
 		h, err := k.NewHeap(rs.as, app.HeapLimitOrDefault(), heapDomains)
 		if err != nil {
@@ -194,15 +225,11 @@ func setupNode(k kernel.Kernel, j Job, rng *sim.RNG) (*nodeState, error) {
 
 		if app.ShmWindowBytes > 0 {
 			shmPol := k.MapPolicy(mem.VMAShared)
-			node := k.Partition().Node
-			mcHome, ddrHome := homeDomains(node, quad)
-			mcLocal := rotateLocalFirst(node.DomainsOfKind(hw.MCDRAM), mcHome)
-			ddrLocal := rotateLocalFirst(node.DomainsOfKind(hw.DDR4), ddrHome)
-			shmPol.Domains = append(append([]int{}, mcLocal...), ddrLocal...)
+			shmPol.Domains = pl.mcDDR
 			if j.ForceDDROnly || (k.Type() == kernel.TypeLinux && !fitsInMCDRAM(j)) {
 				// DDR-pinned job (Table I) or a Linux job that
 				// cannot express MCDRAM preference in SNC-4.
-				shmPol.Domains = ddrLocal
+				shmPol.Domains = pl.ddr
 			}
 			sv, err := rs.as.Map(app.ShmWindowBytes, mem.VMAShared, shmPol)
 			if err != nil {
@@ -326,37 +353,26 @@ func memTimeFor(k kernel.Kernel, j Job, rs *rankState) sim.Duration {
 		ws = float64(rs.ws.Size)
 	}
 
-	// Bytes and page mix by kind for the working-set area.
+	// Bytes, page mix and physical contiguity (average extent size,
+	// which feeds the cache-benefit credit below) by kind for the
+	// working-set area.
 	var mcBytes, ddrBytes float64
-	mixByKind := map[hw.MemKind]map[hw.PageSize]int64{
-		hw.MCDRAM: {}, hw.DDR4: {},
-	}
+	var mixByKind [hw.NumMemKinds][hw.NumPageSizes]int64
+	var extBytes, extCount [hw.NumMemKinds]int64
 	for _, b := range rs.ws.Backings {
 		d, err := node.Domain(b.Ext.Domain)
 		if err != nil {
 			continue
 		}
-		mixByKind[d.Mem.Kind][b.Page] += b.Ext.Size
-		if d.Mem.Kind == hw.MCDRAM {
+		kind := d.Mem.Kind
+		mixByKind[kind][b.Page.Index()] += b.Ext.Size
+		extBytes[kind] += b.Ext.Size
+		extCount[kind]++
+		if kind == hw.MCDRAM {
 			mcBytes += float64(b.Ext.Size)
 		} else {
 			ddrBytes += float64(b.Ext.Size)
 		}
-	}
-
-	// Physical contiguity per kind (average extent size) feeds the
-	// cache-benefit credit below.
-	type extStat struct{ bytes, count int64 }
-	extStats := map[hw.MemKind]extStat{}
-	for _, b := range rs.ws.Backings {
-		d, err := node.Domain(b.Ext.Domain)
-		if err != nil {
-			continue
-		}
-		e := extStats[d.Mem.Kind]
-		e.bytes += b.Ext.Size
-		e.count++
-		extStats[d.Mem.Kind] = e
 	}
 
 	// Per-rank bandwidth share of each kind, TLB-derated and credited
@@ -372,19 +388,19 @@ func memTimeFor(k kernel.Kernel, j Job, rs *rankState) sim.Duration {
 		}
 		share := total / float64(app.RanksPerNode)
 		kindBytes := int64(0)
-		frac := map[hw.PageSize]float64{}
 		for _, b := range mixByKind[kind] {
 			kindBytes += b
 		}
 		if kindBytes > 0 {
-			for p, b := range mixByKind[kind] {
-				frac[p] = float64(b) / float64(kindBytes)
+			var frac [hw.NumPageSizes]float64
+			for i, b := range mixByKind[kind] {
+				frac[i] = float64(b) / float64(kindBytes)
 			}
 			derate := node.TLB.EffectiveBandwidth(dev, kindBytes, frac) / dev.StreamBandwidth
 			share *= derate
 		}
-		if e := extStats[kind]; e.count > 0 {
-			share *= contiguityFactor(e.bytes / e.count)
+		if n := extCount[kind]; n > 0 {
+			share *= contiguityFactor(extBytes[kind] / n)
 		}
 		return share * float64(hw.GiB) // bytes/s
 	}

@@ -20,6 +20,10 @@ const (
 	DDR4 MemKind = iota
 	// MCDRAM is KNL's on-package high-bandwidth memory.
 	MCDRAM
+
+	// NumMemKinds is the number of memory kinds: the length of fixed
+	// per-kind arrays indexed by MemKind.
+	NumMemKinds = iota
 )
 
 // String returns the conventional name of the memory kind.
@@ -63,6 +67,25 @@ func (p PageSize) String() string {
 // Valid reports whether p is one of the supported page sizes.
 func (p PageSize) Valid() bool {
 	return p == Page4K || p == Page2M || p == Page1G
+}
+
+// NumPageSizes is the number of supported page sizes: the length of the
+// fixed per-page-size arrays indexed by PageSize.Index.
+const NumPageSizes = 3
+
+// Index returns p's position in ascending size order — 4 KiB 0, 2 MiB 1,
+// 1 GiB 2 — or -1 for an unsupported size.
+func (p PageSize) Index() int {
+	switch p {
+	case Page4K:
+		return 0
+	case Page2M:
+		return 1
+	case Page1G:
+		return 2
+	default:
+		return -1
+	}
 }
 
 // Byte quantity helpers.

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -222,6 +223,13 @@ func TestTLBMissRateGrowsOutsideReach(t *testing.T) {
 	}
 }
 
+// pureMix is the page mix of a working set mapped entirely with p.
+func pureMix(p PageSize) [NumPageSizes]float64 {
+	var mix [NumPageSizes]float64
+	mix[p.Index()] = 1
+	return mix
+}
+
 func TestTLBLargePagesBeatSmallPages(t *testing.T) {
 	// For a 4 GiB working set, 2 MiB pages must deliver strictly higher
 	// effective bandwidth than 4 KiB pages, and 1 GiB at least as high
@@ -229,9 +237,9 @@ func TestTLBLargePagesBeatSmallPages(t *testing.T) {
 	n := KNL7250SNC4()
 	dev := n.Domains[0].Mem
 	ws := int64(4 * GiB)
-	bw4k := n.TLB.EffectiveBandwidth(dev, ws, map[PageSize]float64{Page4K: 1})
-	bw2m := n.TLB.EffectiveBandwidth(dev, ws, map[PageSize]float64{Page2M: 1})
-	bw1g := n.TLB.EffectiveBandwidth(dev, ws, map[PageSize]float64{Page1G: 1})
+	bw4k := n.TLB.EffectiveBandwidth(dev, ws, pureMix(Page4K))
+	bw2m := n.TLB.EffectiveBandwidth(dev, ws, pureMix(Page2M))
+	bw1g := n.TLB.EffectiveBandwidth(dev, ws, pureMix(Page1G))
 	if !(bw4k < bw2m && bw2m <= bw1g) {
 		t.Fatalf("bandwidth ordering violated: 4K=%v 2M=%v 1G=%v", bw4k, bw2m, bw1g)
 	}
@@ -243,10 +251,10 @@ func TestTLBLargePagesBeatSmallPages(t *testing.T) {
 func TestTLBEffectiveBandwidthEdges(t *testing.T) {
 	n := KNL7250SNC4()
 	dev := n.Domains[0].Mem
-	if bw := n.TLB.EffectiveBandwidth(dev, 0, nil); bw != dev.StreamBandwidth {
+	if bw := n.TLB.EffectiveBandwidth(dev, 0, pureMix(Page4K)); bw != dev.StreamBandwidth {
 		t.Fatal("zero working set should return peak bandwidth")
 	}
-	if bw := n.TLB.EffectiveBandwidth(dev, GiB, map[PageSize]float64{}); bw != dev.StreamBandwidth {
+	if bw := n.TLB.EffectiveBandwidth(dev, GiB, [NumPageSizes]float64{}); bw != dev.StreamBandwidth {
 		t.Fatal("empty mix should return peak bandwidth")
 	}
 }
@@ -260,7 +268,7 @@ func TestEffectiveBandwidthBoundsProperty(t *testing.T) {
 	check := func(wsMiB uint16, pick uint8) bool {
 		ws := int64(wsMiB) * MiB
 		p := sizes[int(pick)%len(sizes)]
-		bw := n.TLB.EffectiveBandwidth(dev, ws, map[PageSize]float64{p: 1})
+		bw := n.TLB.EffectiveBandwidth(dev, ws, pureMix(p))
 		return bw > 0 && bw <= dev.StreamBandwidth+1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
@@ -299,5 +307,101 @@ func TestXeonWorksWithAllocator(t *testing.T) {
 	nearest, err := n.NearestDomain(0, []int{0, 1})
 	if err != nil || nearest != 0 {
 		t.Fatalf("nearest: %d, %v", nearest, err)
+	}
+}
+
+func TestDomainsOfKindAllocatesOnce(t *testing.T) {
+	for _, n := range []*NodeSpec{KNL7250SNC4(), KNL7250Quadrant()} {
+		if a := testing.AllocsPerRun(100, func() { _ = n.DomainsOfKind(MCDRAM) }); a > 1 {
+			t.Errorf("%s: DomainsOfKind made %v allocations, want <= 1", n.Name, a)
+		}
+		if got := n.DomainsOfKind(DDR4); len(got) != cap(got) {
+			t.Errorf("%s: DomainsOfKind len %d cap %d, want exact size", n.Name, len(got), cap(got))
+		}
+	}
+}
+
+// The KNL presets back their CPU lists with shared arrays; appending to
+// one list (or to a DomainsOfKind result) must never rewrite another.
+func TestKNLListsDoNotAlias(t *testing.T) {
+	for _, n := range []*NodeSpec{KNL7250SNC4(), KNL7250Quadrant()} {
+		fresh := KNL7250SNC4()
+		if n.Mode == Quadrant {
+			fresh = KNL7250Quadrant()
+		}
+		for i := range n.Cores {
+			_ = append(n.Cores[i].CPUs, -1)
+		}
+		for i := range n.Domains {
+			_ = append(n.Domains[i].CPUs, -1)
+		}
+		for i := range n.Distance {
+			_ = append(n.Distance[i], -1)
+		}
+		_ = append(n.DomainsOfKind(DDR4), -1)
+		if !reflect.DeepEqual(n, fresh) {
+			t.Errorf("%s: appending to its lists changed the spec", n.Name)
+		}
+		if err := n.Validate(); err != nil {
+			t.Errorf("%s: %v", n.Name, err)
+		}
+	}
+}
+
+// mapEffectiveBandwidth is EffectiveBandwidth as it was when the page mix
+// was a map, summed in sorted key order; the array form must reproduce it
+// bit for bit.
+func mapEffectiveBandwidth(t TLBSpec, dev MemDeviceSpec, workingSet int64, frac map[PageSize]float64) float64 {
+	if workingSet <= 0 {
+		return dev.StreamBandwidth
+	}
+	const lineBytes = 64.0
+	idealNsPerLine := lineBytes / (dev.StreamBandwidth * float64(GiB)) * 1e9
+	total, weight := 0.0, 0.0
+	for _, p := range []PageSize{Page4K, Page2M, Page1G} {
+		f, ok := frac[p]
+		if !ok || f <= 0 {
+			continue
+		}
+		part := int64(float64(workingSet) * f)
+		total += f * (idealNsPerLine + t.WalkOverhead(part, p))
+		weight += f
+	}
+	if weight == 0 {
+		return dev.StreamBandwidth
+	}
+	return dev.StreamBandwidth * idealNsPerLine / (total / weight)
+}
+
+func TestEffectiveBandwidthMatchesMapForm(t *testing.T) {
+	n := KNL7250SNC4()
+	check := func(wsMiB uint32, b4k, b2m, b1g uint32, dom uint8) bool {
+		dev := n.Domains[int(dom)%len(n.Domains)].Mem
+		ws := int64(wsMiB) * MiB
+		var mix [NumPageSizes]float64
+		m := map[PageSize]float64{}
+		sum := float64(b4k) + float64(b2m) + float64(b1g)
+		for i, b := range []uint32{b4k, b2m, b1g} {
+			if b == 0 {
+				continue
+			}
+			mix[i] = float64(b) / sum
+			m[[]PageSize{Page4K, Page2M, Page1G}[i]] = mix[i]
+		}
+		return n.TLB.EffectiveBandwidth(dev, ws, mix) == mapEffectiveBandwidth(n.TLB, dev, ws, m)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPageSizeIndex(t *testing.T) {
+	for i, p := range []PageSize{Page4K, Page2M, Page1G} {
+		if p.Index() != i {
+			t.Errorf("%v.Index() = %d, want %d", p, p.Index(), i)
+		}
+	}
+	if PageSize(8192).Index() != -1 {
+		t.Error("unsupported page size has an index")
 	}
 }

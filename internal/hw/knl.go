@@ -45,18 +45,22 @@ func KNL7250SNC4() *NodeSpec {
 		TLB:            knlTLB(),
 		CoreFreqGHz:    knlFreqGHz,
 	}
-	// 68 cores split into quadrants of 17.
+	// 68 cores split into quadrants of 17. Core and domain CPU lists
+	// are windows into exact-size backing arrays, capped with full-slice
+	// expressions so an append to one never writes into its neighbour.
 	const perQuad = knlCores / 4
-	for c := 0; c < knlCores; c++ {
-		quad := c / perQuad
-		core := CoreSpec{ID: c, Domain: quad}
-		for t := 0; t < knlThreadsPerCore; t++ {
-			core.CPUs = append(core.CPUs, c+t*knlCores)
-		}
-		n.Cores = append(n.Cores, core)
-	}
+	n.Cores = knlCoreSpecs(func(c int) int { return c / perQuad })
+	domCPUs := make([]int, 0, knlCores*knlThreadsPerCore)
+	n.Domains = make([]DomainSpec, 0, 8)
 	for q := 0; q < 4; q++ {
-		dom := DomainSpec{
+		lo := len(domCPUs)
+		for c := q * perQuad; c < (q+1)*perQuad; c++ {
+			for t := 0; t < knlThreadsPerCore; t++ {
+				domCPUs = append(domCPUs, c+t*knlCores)
+			}
+		}
+		hi := len(domCPUs)
+		n.Domains = append(n.Domains, DomainSpec{
 			ID: q,
 			Mem: MemDeviceSpec{
 				Kind:            DDR4,
@@ -64,13 +68,8 @@ func KNL7250SNC4() *NodeSpec {
 				StreamBandwidth: knlDDRBWPerQuad,
 				LoadLatency:     knlDDRLatencyNs,
 			},
-		}
-		for c := q * perQuad; c < (q+1)*perQuad; c++ {
-			for t := 0; t < knlThreadsPerCore; t++ {
-				dom.CPUs = append(dom.CPUs, c+t*knlCores)
-			}
-		}
-		n.Domains = append(n.Domains, dom)
+			CPUs: domCPUs[lo:hi:hi],
+		})
 	}
 	for q := 0; q < 4; q++ {
 		n.Domains = append(n.Domains, DomainSpec{
@@ -87,14 +86,31 @@ func KNL7250SNC4() *NodeSpec {
 	return n
 }
 
+// knlCoreSpecs returns the 68 KNL cores with their four hyperthreads each
+// (logical CPUs c, c+68, c+136, c+204), placing core c on domain
+// domainOf(c). The CPU lists share one exact-size backing array.
+func knlCoreSpecs(domainOf func(c int) int) []CoreSpec {
+	cpus := make([]int, knlCores*knlThreadsPerCore)
+	cores := make([]CoreSpec, knlCores)
+	for c := range cores {
+		lo, hi := c*knlThreadsPerCore, (c+1)*knlThreadsPerCore
+		for t := 0; t < knlThreadsPerCore; t++ {
+			cpus[lo+t] = c + t*knlCores
+		}
+		cores[c] = CoreSpec{ID: c, Domain: domainOf(c), CPUs: cpus[lo:hi:hi]}
+	}
+	return cores
+}
+
 // snc4Distance builds the 8x8 SLIT-style matrix the OFP nodes report:
 // local 10, remote DDR quadrant 21, own-quadrant MCDRAM 31, remote MCDRAM
 // 41. The >=31 MCDRAM distances are what breaks numactl-based MCDRAM
 // preference on Linux in SNC-4 mode (paper, section II-D3).
 func snc4Distance() [][]int {
+	cells := make([]int, 8*8)
 	d := make([][]int, 8)
 	for i := range d {
-		d[i] = make([]int, 8)
+		d[i] = cells[i*8 : (i+1)*8 : (i+1)*8]
 		for j := range d[i] {
 			switch {
 			case i == j:
@@ -137,7 +153,14 @@ func KNL7250Quadrant() *NodeSpec {
 		TLB:            knlTLB(),
 		CoreFreqGHz:    knlFreqGHz,
 	}
-	ddr := DomainSpec{
+	// All cores sit on domain 0, whose CPU list is every core's
+	// hyperthreads in core order.
+	n.Cores = knlCoreSpecs(func(int) int { return 0 })
+	ddrCPUs := make([]int, 0, knlCores*knlThreadsPerCore)
+	for _, core := range n.Cores {
+		ddrCPUs = append(ddrCPUs, core.CPUs...)
+	}
+	n.Domains = []DomainSpec{{
 		ID: 0,
 		Mem: MemDeviceSpec{
 			Kind:            DDR4,
@@ -145,17 +168,8 @@ func KNL7250Quadrant() *NodeSpec {
 			StreamBandwidth: 4 * knlDDRBWPerQuad * quadrantMeshPenalty,
 			LoadLatency:     knlDDRLatencyNs,
 		},
-	}
-	for c := 0; c < knlCores; c++ {
-		core := CoreSpec{ID: c, Domain: 0}
-		for t := 0; t < knlThreadsPerCore; t++ {
-			cpu := c + t*knlCores
-			core.CPUs = append(core.CPUs, cpu)
-			ddr.CPUs = append(ddr.CPUs, cpu)
-		}
-		n.Cores = append(n.Cores, core)
-	}
-	n.Domains = append(n.Domains, ddr, DomainSpec{
+		CPUs: ddrCPUs,
+	}, {
 		ID: 1,
 		Mem: MemDeviceSpec{
 			Kind:            MCDRAM,
@@ -163,7 +177,7 @@ func KNL7250Quadrant() *NodeSpec {
 			StreamBandwidth: 4 * knlMCDRAMBWPerQuad * quadrantMeshPenalty,
 			LoadLatency:     knlMCDRAMLatencyNs,
 		},
-	})
+	}}
 	n.Distance = [][]int{{10, 31}, {31, 10}}
 	return n
 }

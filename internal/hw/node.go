@@ -2,7 +2,7 @@ package hw
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DomainSpec is one NUMA domain: a memory device plus the logical CPUs
@@ -60,15 +60,25 @@ func (n *NodeSpec) Domain(id int) (*DomainSpec, error) {
 }
 
 // DomainsOfKind returns the ids of all domains backed by the given memory
-// kind, in id order.
+// kind, in id order, in a fresh slice of exactly that length (nil when
+// there are none).
 func (n *NodeSpec) DomainsOfKind(kind MemKind) []int {
-	var out []int
+	count := 0
+	for _, d := range n.Domains {
+		if d.Mem.Kind == kind {
+			count++
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]int, 0, count)
 	for _, d := range n.Domains {
 		if d.Mem.Kind == kind {
 			out = append(out, d.ID)
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -70,11 +70,11 @@ func Reserve(lin *linuxos.Kernel, opts ReserveOptions) (*Grant, error) {
 		if want == 0 {
 			continue
 		}
-		exts, got := lin.Phys().AllocUpTo(d.ID, want, opts.Granule)
+		var got int64
+		g.Extents, got = lin.Phys().AllocUpTo(g.Extents, d.ID, want, opts.Granule)
 		if got == 0 {
 			return nil, fmt.Errorf("ihk: domain %d donated nothing", d.ID)
 		}
-		g.Extents = append(g.Extents, exts...)
 	}
 	g.Phys = mem.NewPhysView(node, g.Extents)
 	return g, nil

@@ -9,6 +9,7 @@ package mckernel
 
 import (
 	"fmt"
+	"slices"
 
 	"mklite/internal/hw"
 	"mklite/internal/ihk"
@@ -55,6 +56,10 @@ type Kernel struct {
 	opts   Options
 	grant  *ihk.Grant
 	procfs *linuxos.ProcFS
+	// domains is the MCDRAM-then-DDR4 order MapPolicy and NewHeap
+	// default to: computed once at boot, read-only afterwards and handed
+	// out clipped, so a caller's append copies instead of writing into it.
+	domains []int
 }
 
 // Boot starts McKernel on an IHK grant carved from the given Linux.
@@ -86,7 +91,8 @@ func Boot(lin *linuxos.Kernel, g *ihk.Grant, opts Options) (*Kernel, error) {
 		grant: g,
 		// McKernel re-implements the /proc and /sys subset that
 		// reflects its own resource partition (section II-D4).
-		procfs: linuxos.NewPartitionProcFS(g.Part.Node, g.Part),
+		procfs:  linuxos.NewPartitionProcFS(g.Part.Node, g.Part),
+		domains: slices.Concat(g.Part.Node.DomainsOfKind(hw.MCDRAM), g.Part.Node.DomainsOfKind(hw.DDR4)),
 	}
 	return k, nil
 }
@@ -166,10 +172,8 @@ func (k *Kernel) ProcFS() *linuxos.ProcFS { return k.procfs }
 // paging "to allow best effort allocation from the specific NUMA domain
 // when enough physical memory is not available".
 func (k *Kernel) MapPolicy(kind mem.VMAKind) mem.Policy {
-	node := k.Partition().Node
-	domains := append(node.DomainsOfKind(hw.MCDRAM), node.DomainsOfKind(hw.DDR4)...)
 	pol := mem.Policy{
-		Domains:        domains,
+		Domains:        slices.Clip(k.domains),
 		MaxPage:        hw.Page1G,
 		FallbackDemand: true,
 	}
@@ -183,9 +187,8 @@ func (k *Kernel) MapPolicy(kind mem.VMAKind) mem.Policy {
 
 // NewHeap implements kernel.Kernel.
 func (k *Kernel) NewHeap(as *mem.AddrSpace, limit int64, domains []int) (mem.Heap, error) {
-	node := k.Partition().Node
 	if domains == nil {
-		domains = append(node.DomainsOfKind(hw.MCDRAM), node.DomainsOfKind(hw.DDR4)...)
+		domains = slices.Clip(k.domains)
 	}
 	if k.opts.HPCBrk {
 		return mem.NewHPCHeap(as, limit, mem.DefaultHPCHeapConfig(domains))

@@ -120,6 +120,9 @@ type AddrSpace struct {
 	vmas []*VMA // sorted by Start
 	next int64  // bump pointer for new mappings
 	sink *trace.Sink
+	// scratch is the reused extent buffer AllocUpTo appends into while
+	// populating; its extents are copied into VMA backings at once.
+	scratch []Extent
 
 	// TotalFaults counts demand faults across the whole space.
 	TotalFaults int64
@@ -294,8 +297,9 @@ func (as *AddrSpace) populate(v *VMA, want int64) int64 {
 					continue
 				}
 			}
-			exts, n := as.phys.AllocUpTo(dom, need, int64(p))
-			for _, e := range exts {
+			var n int64
+			as.scratch, n = as.phys.AllocUpTo(as.scratch[:0], dom, need, int64(p))
+			for _, e := range as.scratch {
 				v.Backings = append(v.Backings, Backing{Ext: e, Page: p})
 			}
 			if counting {
@@ -422,9 +426,10 @@ func (as *AddrSpace) demandPopulate(v *VMA, end int64, maxPage hw.PageSize, faul
 				}
 				pages = 1 // final partial page
 			}
-			exts, n := as.phys.AllocUpTo(dom, pages*granule, granule)
+			var n int64
+			as.scratch, n = as.phys.AllocUpTo(as.scratch[:0], dom, pages*granule, granule)
 			var faults int64
-			for _, e := range exts {
+			for _, e := range as.scratch {
 				v.Backings = append(v.Backings, Backing{Ext: e, Page: p})
 				faults += e.Size / granule
 			}

@@ -8,6 +8,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mklite/internal/hw"
@@ -173,20 +174,10 @@ func (p *Phys) Alloc(domain int, size, align int64) (Extent, error) {
 	}
 	for i, f := range d.free {
 		start := (f.start + align - 1) &^ (align - 1)
-		pad := start - f.start
-		if f.size < pad+size {
+		if f.size < start-f.start+size {
 			continue
 		}
-		// Split the free range into [pre][allocated][post].
-		var repl []freeRange
-		if pad > 0 {
-			repl = append(repl, freeRange{start: f.start, size: pad})
-		}
-		if rest := f.size - pad - size; rest > 0 {
-			repl = append(repl, freeRange{start: start + size, size: rest})
-		}
-		d.free = append(d.free[:i], append(repl, d.free[i+1:]...)...)
-		d.freeSum -= size
+		d.take(i, start, size)
 		return Extent{Domain: domain, Start: start, Size: size}, nil
 	}
 	return Extent{}, fmt.Errorf("mem: domain %d cannot satisfy %d bytes contiguous (free %d, largest %d)",
@@ -195,10 +186,10 @@ func (p *Phys) Alloc(domain int, size, align int64) (Extent, error) {
 
 // AllocUpTo allocates as much of size as the domain can provide, possibly
 // as multiple extents, each aligned to align and a multiple of align. It
-// returns the extents and the total bytes obtained (<= size). Used for
-// best-effort spill allocation.
-func (p *Phys) AllocUpTo(domain int, size, align int64) ([]Extent, int64) {
-	var out []Extent
+// appends the extents to dst and returns the extended slice with the bytes
+// obtained by this call (<= size). Used for best-effort spill allocation;
+// callers that pass a reused buffer (dst[:0]) allocate nothing here.
+func (p *Phys) AllocUpTo(dst []Extent, domain int, size, align int64) ([]Extent, int64) {
 	var got int64
 	for got < size {
 		want := size - got
@@ -217,10 +208,10 @@ func (p *Phys) AllocUpTo(domain int, size, align int64) ([]Extent, int64) {
 		if err != nil {
 			break
 		}
-		out = append(out, e)
+		dst = append(dst, e)
 		got += e.Size
 	}
-	return out, got
+	return dst, got
 }
 
 // largestAlignedChunk returns the largest multiple of align obtainable as a
@@ -317,19 +308,33 @@ func (p *Phys) allocAt(domain int, start, size int64) (Extent, error) {
 	}
 	for i, f := range d.free {
 		if f.start <= start && start+size <= f.start+f.size {
-			var repl []freeRange
-			if pre := start - f.start; pre > 0 {
-				repl = append(repl, freeRange{start: f.start, size: pre})
-			}
-			if post := f.start + f.size - (start + size); post > 0 {
-				repl = append(repl, freeRange{start: start + size, size: post})
-			}
-			d.free = append(d.free[:i], append(repl, d.free[i+1:]...)...)
-			d.freeSum -= size
+			d.take(i, start, size)
 			return Extent{Domain: domain, Start: start, Size: size}, nil
 		}
 	}
 	return Extent{}, fmt.Errorf("mem: range [%d,%d) not free in domain %d", start, start+size, domain)
+}
+
+// take removes [start, start+size) from free range i, which must contain
+// it, splitting the range in place into [pre][taken][post]. Only a split
+// that leaves both a pre and a post remainder grows the list; every other
+// case rewrites or drops entry i without allocating.
+func (d *physDomain) take(i int, start, size int64) {
+	f := d.free[i]
+	pre := start - f.start
+	post := f.start + f.size - (start + size)
+	switch {
+	case pre > 0 && post > 0:
+		d.free[i].size = pre
+		d.free = slices.Insert(d.free, i+1, freeRange{start: start + size, size: post})
+	case pre > 0:
+		d.free[i].size = pre
+	case post > 0:
+		d.free[i] = freeRange{start: start + size, size: post}
+	default:
+		d.free = slices.Delete(d.free, i, i+1)
+	}
+	d.freeSum -= size
 }
 
 // checkInvariants verifies the free list is sorted, coalesced, in-bounds

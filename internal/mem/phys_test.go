@@ -142,7 +142,7 @@ func TestPhysAllocUpToSplits(t *testing.T) {
 	if p.LargestFree(4) >= 4*hw.GiB {
 		t.Fatal("fragmentation did not reduce largest free block")
 	}
-	exts, got := p.AllocUpTo(4, 3*hw.GiB, int64(hw.Page2M))
+	exts, got := p.AllocUpTo(nil, 4, 3*hw.GiB, int64(hw.Page2M))
 	if got < 2*hw.GiB {
 		t.Fatalf("AllocUpTo got only %d", got)
 	}
@@ -161,7 +161,7 @@ func TestPhysAllocUpToSplits(t *testing.T) {
 
 func TestPhysAllocUpToPartial(t *testing.T) {
 	p := newKNLPhys()
-	_, got := p.AllocUpTo(4, 100*hw.GiB, int64(hw.Page2M))
+	_, got := p.AllocUpTo(nil, 4, 100*hw.GiB, int64(hw.Page2M))
 	if got != 4*hw.GiB {
 		t.Fatalf("AllocUpTo from 4GiB domain got %d", got)
 	}

@@ -206,14 +206,15 @@ func (as *AddrSpace) Migrate(v *VMA, domains []int) (Work, error) {
 		// the page granularity where the targets allow it.
 		moved := false
 		for _, d := range domains {
-			exts, got := as.phys.AllocUpTo(d, b.Ext.Size, int64(b.Page))
+			var got int64
+			as.scratch, got = as.phys.AllocUpTo(as.scratch[:0], d, b.Ext.Size, int64(b.Page))
 			if got < b.Ext.Size {
 				// Partial: roll back this attempt and try the
 				// next domain at the same granularity.
-				as.phys.FreeAll(exts)
+				as.phys.FreeAll(as.scratch)
 				continue
 			}
-			for _, e := range exts {
+			for _, e := range as.scratch {
 				kept = append(kept, Backing{Ext: e, Page: b.Page})
 			}
 			as.phys.Free(b.Ext)

@@ -11,6 +11,7 @@ package mos
 
 import (
 	"fmt"
+	"slices"
 
 	"mklite/internal/hw"
 	"mklite/internal/kernel"
@@ -53,6 +54,10 @@ type Kernel struct {
 	kernel.Base
 	cfg    Config
 	procfs *linuxos.ProcFS
+	// domains is the MCDRAM-then-DDR4 order MapPolicy and NewHeap
+	// default to: computed once at boot, read-only afterwards and handed
+	// out clipped, so a caller's append copies instead of writing into it.
+	domains []int
 }
 
 // Boot constructs an mOS node. Unlike McKernel, the LWK memory is taken
@@ -81,23 +86,25 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 		}
 		// Largest blocks first (1 GiB aligned for gigabyte pages),
 		// then 2 MiB granules for the remainder of the share.
-		exts, got := whole.AllocUpTo(d.ID, want/int64(hw.Page1G)*int64(hw.Page1G), int64(hw.Page1G))
+		before := len(grants)
+		var got int64
+		grants, got = whole.AllocUpTo(grants, d.ID, want/int64(hw.Page1G)*int64(hw.Page1G), int64(hw.Page1G))
 		if rest := want - got; rest > 0 {
-			more, _ := whole.AllocUpTo(d.ID, rest, int64(hw.Page2M))
-			exts = append(exts, more...)
+			grants, _ = whole.AllocUpTo(grants, d.ID, rest, int64(hw.Page2M))
 		}
-		if len(exts) == 0 {
+		if len(grants) == before {
 			return nil, fmt.Errorf("mos: domain %d yielded no early-boot memory", d.ID)
 		}
-		grants = append(grants, exts...)
 	}
 	// Linux's own footprint lands in whatever remains (it cannot
-	// fragment the LWK's blocks).
+	// fragment the LWK's blocks). Its extents are never handed back, so
+	// one buffer serves every domain.
+	ddr := node.DomainsOfKind(hw.DDR4)
 	if cfg.LinuxReservation > 0 {
-		ddr := node.DomainsOfKind(hw.DDR4)
 		per := cfg.LinuxReservation / int64(len(ddr))
+		var linuxExts []mem.Extent
 		for _, d := range ddr {
-			whole.AllocUpTo(d, per, int64(hw.Page4K))
+			linuxExts, _ = whole.AllocUpTo(linuxExts[:0], d, per, int64(hw.Page4K))
 		}
 	}
 	kind := cfg.Sched
@@ -123,7 +130,8 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 		cfg: cfg,
 		// mOS "mostly reuses the Linux implementation" of /proc and
 		// /sys: the full surface is visible.
-		procfs: linuxos.NewProcFS(node),
+		procfs:  linuxos.NewProcFS(node),
+		domains: slices.Concat(node.DomainsOfKind(hw.MCDRAM), ddr),
 	}
 	return k, nil
 }
@@ -175,19 +183,16 @@ func (k *Kernel) ProcFS() *linuxos.ProcFS { return k.procfs }
 // version of mOS is more rigid: Only physically available memory can be
 // allocated."
 func (k *Kernel) MapPolicy(kind mem.VMAKind) mem.Policy {
-	node := k.Partition().Node
-	domains := append(node.DomainsOfKind(hw.MCDRAM), node.DomainsOfKind(hw.DDR4)...)
 	return mem.Policy{
-		Domains: domains,
+		Domains: slices.Clip(k.domains),
 		MaxPage: hw.Page1G,
 	}
 }
 
 // NewHeap implements kernel.Kernel, honouring the heap-management toggle.
 func (k *Kernel) NewHeap(as *mem.AddrSpace, limit int64, domains []int) (mem.Heap, error) {
-	node := k.Partition().Node
 	if domains == nil {
-		domains = append(node.DomainsOfKind(hw.MCDRAM), node.DomainsOfKind(hw.DDR4)...)
+		domains = slices.Clip(k.domains)
 	}
 	if k.cfg.HeapManagement {
 		return mem.NewHPCHeap(as, limit, mem.DefaultHPCHeapConfig(domains))
