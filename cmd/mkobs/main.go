@@ -1,307 +1,302 @@
-// Command mkobs is the facility observability CLI (see
-// docs/OBSERVABILITY.md): it runs an observed fleet simulation and exports
-// the cross-layer artifacts — the node-occupancy timeline (Chrome
-// trace-event JSON, loadable in Perfetto), the backfill decision log, and
-// the job-namespaced counter view — and it judges artifacts after the fact:
-// SLO evaluation with a pass/fail exit status, timeline validation, and
-// decision-log diffing.
+// Command mkobs reads mklite's observation artifacts (see
+// docs/OBSERVABILITY.md). The commands that run things record them: mkrun
+// writes a run's trace, counters, metrics and flame graph, and mkfleet
+// writes a facility run's timeline, decision log and -json result. Every
+// artifact but the fleet result names its format in a schema field, and
+// validate, diff, report and flame dispatch on that field:
 //
-// Usage:
+//	mkobs validate run.trace.json                 # mklite-trace/v1 (run trace or facility timeline)
+//	mkobs diff old.counters.json new.counters.json  # mklite-counters/v1, -metrics/v1 or -decisions/v1
+//	mkobs report run.metrics.json                 # mklite-metrics/v1
+//	mkobs flame run.trace.json > run.folded       # mklite-trace/v1
+//	mkobs check -slo 'utilization_pct>=60;wait_p99_sec<=2' result.json
 //
-//	mkobs run -nodes 64 -jobs 120 -timeline tl.json -decisions dl.json -json
-//	mkobs run -job-counters -job-events -timeline tl.json
-//	mkobs check -slo 'wait_p99_sec<=2;utilization_pct>=60;degraded_jobs<=0' result.json
-//	mkobs check -slo 'utilization_pct>=60' -nodes 64 -jobs 120   # run, then check
-//	mkobs validate tl.json
-//	mkobs diff dl-a.json dl-b.json
+// check judges a saved mkfleet -json result against an SLO spec.
 //
-// Everything is a pure function of the flags: same flags, same artifact
-// bytes, at any -workers width. check and diff exit 1 on failure/difference,
-// so they slot straight into CI.
+// Exit status: 0 when the artifacts pass (valid, identical, SLO met), 1 when
+// they do not (invalid, different, SLO failed), 2 on a usage or read error.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 
 	"mklite/internal/fleet"
+	"mklite/internal/metrics"
 	"mklite/internal/obs"
-	"mklite/internal/sim"
 	"mklite/internal/trace"
 )
 
+// artifact is one input file and its bytes.
+type artifact struct {
+	path string
+	data []byte
+}
+
+// A reader runs one verb over artifacts of one schema, writes its verdict
+// or rendering to w, and reports whether the artifacts pass.
+type reader func(w io.Writer, docs []artifact) (pass bool, err error)
+
+// verbs is the dispatch table: for each schema-dispatched verb, the number
+// of artifacts it takes and the reader for every schema it serves.
+var verbs = map[string]struct {
+	args     int
+	bySchema map[string]reader
+}{
+	"validate": {1, map[string]reader{trace.EventsSchema: validateTrace}},
+	"diff": {2, map[string]reader{
+		trace.CountersSchema: diffCounters,
+		metrics.Schema:       diffMetrics,
+		obs.DecisionsSchema:  diffDecisions,
+	}},
+	"report": {1, map[string]reader{metrics.Schema: reportMetrics}},
+	"flame":  {1, map[string]reader{trace.EventsSchema: flameTrace}},
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one mkobs command line and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		return usage(stderr)
 	}
-	switch os.Args[1] {
-	case "run":
-		run(os.Args[2:])
-	case "check":
-		check(os.Args[2:])
-	case "validate":
-		validate(os.Args[2:])
-	case "diff":
-		diff(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
+	name, args := args[0], args[1:]
+	var pass bool
+	var err error
+	switch _, ok := verbs[name]; {
+	case name == "check":
+		pass, err = check(args, stdout, stderr)
+	case ok:
+		pass, err = dispatch(name, args, stdout)
 	default:
-		fmt.Fprintf(os.Stderr, "mkobs: unknown subcommand %q\n\n", os.Args[1])
-		usage()
+		if name != "help" && name != "-h" && name != "-help" && name != "--help" {
+			fmt.Fprintf(stderr, "mkobs: unknown subcommand %q\n\n", name)
+		}
+		return usage(stderr)
 	}
+	switch {
+	case err != nil:
+		fmt.Fprintln(stderr, "mkobs:", err)
+		return 2
+	case !pass:
+		return 1
+	}
+	return 0
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage:
-  mkobs run [fleet flags] [-timeline file] [-decisions file] [-job-counters] [-job-events] [-slo spec] [-json]
-  mkobs check -slo spec [fleet flags | result.json]
-  mkobs validate timeline.json
-  mkobs diff decisions-a.json decisions-b.json
+func usage(w io.Writer) int {
+	fmt.Fprint(w, `usage:
+  mkobs validate trace.json              (mklite-trace/v1)
+  mkobs diff old.json new.json           (mklite-counters/v1, mklite-metrics/v1, mklite-decisions/v1)
+  mkobs report metrics.json              (mklite-metrics/v1)
+  mkobs flame trace.json                 (mklite-trace/v1; folded stacks to stdout)
+  mkobs check -slo spec result.json      (saved mkfleet -json result)
 `)
-	os.Exit(2)
+	return 2
 }
 
-// fleetFlags registers the fleet-shaping subset of mkfleet's flags on fs and
-// returns a builder that assembles the Config after parsing.
-func fleetFlags(fs *flag.FlagSet) func() fleet.Config {
-	var (
-		nodes    = fs.Int("nodes", 256, "facility size in nodes")
-		jobs     = fs.Int("jobs", 1000, "number of jobs in the stream")
-		seed     = fs.Uint64("seed", 1, "facility seed")
-		workers  = fs.Int("workers", 0, "par fan-out width (0 = GOMAXPROCS); output is identical at any width")
-		policy   = fs.String("policy", "heuristic", "kernel-selection policy")
-		backfill = fs.Bool("backfill", true, "conservative backfill (false = strict FIFO)")
-		depth    = fs.Int("backfill-depth", 0, "max queued jobs examined per backfill pass (0 = default)")
-		share    = fs.Int("share", 1, "node oversubscription factor")
-		arrival  = fs.Duration("arrival-mean", 0, "mean job interarrival gap (virtual time; 0 = default)")
-		counters = fs.Bool("counters", false, "merge per-job mechanism counters into the result")
-	)
-	return func() fleet.Config {
-		cfg := fleet.Config{
-			Nodes:         *nodes,
-			Jobs:          *jobs,
-			Seed:          *seed,
-			Workers:       *workers,
-			Backfill:      *backfill,
-			BackfillDepth: *depth,
-			Share:         *share,
-			ArrivalMean:   sim.Duration(*arrival),
-			Counters:      *counters,
-		}
-		pol, err := fleet.ParsePolicy(*policy, cfg.Seed, cfg.Workers, nil)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Policy = pol
-		return cfg
+// dispatch reads the artifacts, checks that they share one schema and runs
+// the verb's reader for it.
+func dispatch(verb string, paths []string, w io.Writer) (bool, error) {
+	v := verbs[verb]
+	if len(paths) != v.args {
+		return false, fmt.Errorf("%s takes %d artifact file(s), got %d", verb, v.args, len(paths))
 	}
+	docs := make([]artifact, len(paths))
+	var schema string
+	for i, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return false, err
+		}
+		s, err := schemaOf(data)
+		if err != nil {
+			return false, fmt.Errorf("%s: %w", path, err)
+		}
+		if i > 0 && s != schema {
+			return false, fmt.Errorf("%s is %s but %s is %s", paths[0], schema, path, s)
+		}
+		schema = s
+		docs[i] = artifact{path, data}
+	}
+	read, ok := v.bySchema[schema]
+	if !ok {
+		served := slices.Sorted(maps.Keys(v.bySchema))
+		if !knownSchema(schema) {
+			return false, fmt.Errorf("%s: unknown schema %q (%s reads %s)", paths[0], schema, verb, strings.Join(served, ", "))
+		}
+		return false, fmt.Errorf("%s: %s has no %s verb (%s reads %s)", paths[0], schema, verb, verb, strings.Join(served, ", "))
+	}
+	return read(w, docs)
 }
 
-func run(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	buildCfg := fleetFlags(fs)
-	var (
-		tlPath      = fs.String("timeline", "", "write the facility timeline (Chrome trace JSON) to this file ('-' = stdout)")
-		dlPath      = fs.String("decisions", "", "write the backfill decision log to this file ('-' = stdout)")
-		jobCounters = fs.Bool("job-counters", false, "namespace per-job counters as job/<id>/... in the result")
-		jobEvents   = fs.Bool("job-events", false, "merge each job's cluster/kernel events onto its own timeline track (needs -timeline)")
-		sloSpec     = fs.String("slo", "", "SLO spec evaluated into the result, e.g. 'wait_p99_sec<=2;utilization_pct>=60'")
-		jsonOut     = fs.Bool("json", false, "emit the fleet result as JSON (byte-stable)")
-	)
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
-	if *jobEvents && *tlPath == "" {
-		fatal(fmt.Errorf("-job-events needs -timeline to merge into"))
-	}
-	cfg := buildCfg()
-
-	o := &obs.Options{JobCounters: *jobCounters, JobEvents: *jobEvents}
-	if *tlPath != "" {
-		o.Timeline = obs.NewTimeline(cfg.Nodes, max(cfg.Share, 1), 0)
-	}
-	if *dlPath != "" {
-		o.Decisions = obs.NewDecisionLog()
-	}
-	cfg.Observe = o
-	if *sloSpec != "" {
-		slo, err := obs.ParseSLO(*sloSpec)
-		if err != nil {
-			fatal(err)
+func knownSchema(schema string) bool {
+	for _, v := range verbs {
+		if _, ok := v.bySchema[schema]; ok {
+			return true
 		}
-		cfg.SLO = slo
 	}
+	return false
+}
 
-	res, err := fleet.Run(cfg)
+// schemaOf returns the schema an artifact names: its top-level "schema"
+// field, or otherData.schema for a Chrome trace-event export. An artifact
+// naming both, or neither, is an error.
+func schemaOf(data []byte) (string, error) {
+	var doc struct {
+		Schema    string `json:"schema"`
+		OtherData struct {
+			Schema string `json:"schema"`
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return "", fmt.Errorf("not a schema-tagged JSON artifact: %w", err)
+	}
+	switch top, trc := doc.Schema, doc.OtherData.Schema; {
+	case top != "" && trc != "":
+		return "", fmt.Errorf("names two schemas, %q and otherData %q", top, trc)
+	case top != "":
+		return top, nil
+	case trc != "":
+		return trc, nil
+	}
+	return "", errors.New("names no schema (top-level or otherData.schema)")
+}
+
+// readAll parses every artifact with one typed reader, naming the file in
+// any error.
+func readAll[T any](docs []artifact, read func([]byte) (T, error)) ([]T, error) {
+	out := make([]T, len(docs))
+	for i, d := range docs {
+		v, err := read(d.data)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", d.path, err)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+func validateTrace(w io.Writer, docs []artifact) (bool, error) {
+	if err := trace.Validate(docs[0].data); err != nil {
+		fmt.Fprintf(w, "%s: invalid: %v\n", docs[0].path, err)
+		return false, nil
+	}
+	fmt.Fprintf(w, "%s: valid %s\n", docs[0].path, trace.EventsSchema)
+	return true, nil
+}
+
+func diffCounters(w io.Writer, docs []artifact) (bool, error) {
+	c, err := readAll(docs, trace.ReadCounters)
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
-	if *tlPath != "" {
-		writeArtifact(*tlPath, o.Timeline.JSON())
+	rows := trace.DiffCounters(c[0], c[1])
+	if len(rows) == 0 {
+		fmt.Fprintln(w, "no counter differences")
+		return true, nil
 	}
-	if *dlPath != "" {
-		out, err := o.Decisions.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		writeArtifact(*dlPath, out)
+	fmt.Fprintf(w, "%-28s %14s %14s %14s\n", "counter", "old", "new", "delta")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-28s %14d %14d %+14d\n", r.Name, r.Old, r.New, r.Delta())
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Printf("facility: %d nodes (share %d), %d jobs, policy %s\n",
-		res.FacilityNodes, res.Share, res.Jobs, res.Policy)
-	fmt.Printf("  throughput %.1f jobs/h, utilization %.1f%%, wait p99 %.3fs\n",
-		res.JobsPerHour, res.UtilizationPct, res.WaitP99Sec)
-	if *tlPath != "" {
-		fmt.Printf("  timeline:  %s (%d events)\n", *tlPath, o.Timeline.Events().Len())
-	}
-	if *dlPath != "" {
-		fmt.Printf("  decisions: %s (%d records)\n", *dlPath, o.Decisions.Len())
-	}
-	if res.SLO != nil {
-		printSLO(res.SLO)
-		if !res.SLO.Passed {
-			os.Exit(1)
-		}
-	}
+	return false, nil
 }
 
-func check(args []string) {
-	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	buildCfg := fleetFlags(fs)
+func diffMetrics(w io.Writer, docs []artifact) (bool, error) {
+	reps, err := readAll(docs, metrics.ReadReport)
+	if err != nil {
+		return false, err
+	}
+	out, same := metrics.Diff(reps[0], reps[1])
+	fmt.Fprint(w, out)
+	return same, nil
+}
+
+func diffDecisions(w io.Writer, docs []artifact) (bool, error) {
+	logs, err := readAll(docs, obs.ReadDecisions)
+	if err != nil {
+		return false, err
+	}
+	rows := obs.DiffDecisions(logs[0], logs[1])
+	if len(rows) == 0 {
+		fmt.Fprintf(w, "identical: %d decisions\n", len(logs[0]))
+		return true, nil
+	}
+	for _, row := range rows {
+		fmt.Fprintln(w, row)
+	}
+	return false, nil
+}
+
+func reportMetrics(w io.Writer, docs []artifact) (bool, error) {
+	reps, err := readAll(docs, metrics.ReadReport)
+	if err != nil {
+		return false, err
+	}
+	fmt.Fprint(w, reps[0].Render())
+	return true, nil
+}
+
+func flameTrace(w io.Writer, docs []artifact) (bool, error) {
+	folded, err := readAll(docs, metrics.FoldedFromJSON)
+	if err != nil {
+		return false, err
+	}
+	fmt.Fprint(w, folded[0])
+	return true, nil
+}
+
+// check judges a saved fleet.Result with its own -slo rules, through the
+// same metric map the in-run watchdog uses (Result.SLOValues), whatever
+// SLO report the artifact already carries.
+func check(args []string, w, stderr io.Writer) (bool, error) {
+	fs := flag.NewFlagSet("check", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	sloSpec := fs.String("slo", "", "SLO spec to enforce (required)")
 	if err := fs.Parse(args); err != nil {
-		fatal(err)
+		return false, err
 	}
-	if *sloSpec == "" {
-		fatal(fmt.Errorf("check needs -slo"))
+	if fs.NArg() != 1 {
+		return false, fmt.Errorf("check takes one mkfleet -json result file, got %d args", fs.NArg())
 	}
 	slo, err := obs.ParseSLO(*sloSpec)
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
-
-	var res *fleet.Result
-	switch fs.NArg() {
-	case 0:
-		// No artifact: run the configured fleet and judge it.
-		res, err = fleet.Run(buildCfg())
-		if err != nil {
-			fatal(err)
-		}
-	case 1:
-		// Judge a saved mkfleet/mkobs result after the fact, using the same
-		// metric map the in-run watchdog sees (Result.SLOValues).
-		data, err := os.ReadFile(fs.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		res = &fleet.Result{}
-		if err := json.Unmarshal(data, res); err != nil {
-			fatal(fmt.Errorf("%s: %w", fs.Arg(0), err))
-		}
-	default:
-		fatal(fmt.Errorf("check takes at most one result file, got %d args", fs.NArg()))
+	data, err := os.ReadFile(fs.Arg(0))
+	if err != nil {
+		return false, err
 	}
-
-	// Evaluate the requested spec regardless of any report stored in the
-	// artifact — check judges with ITS rules, via the same metric map the
-	// in-run watchdog uses.
+	var res fleet.Result
+	if err := json.Unmarshal(data, &res); err != nil {
+		return false, fmt.Errorf("%s: %w", fs.Arg(0), err)
+	}
 	rep, err := slo.Eval(res.SLOValues())
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
-	printSLO(rep)
-	if !rep.Passed {
-		os.Exit(1)
-	}
-}
-
-func printSLO(rep *obs.SLOReport) {
-	fmt.Println("  slo:")
+	fmt.Fprintln(w, "  slo:")
 	for _, r := range rep.Results {
 		verdict := "pass"
 		if !r.Pass {
 			verdict = "FAIL"
 		}
-		fmt.Printf("    %-4s %s%s%g (observed %g)\n", verdict, r.Metric, r.Op, r.Threshold, r.Value)
+		fmt.Fprintf(w, "    %-4s %s%s%g (observed %g)\n", verdict, r.Metric, r.Op, r.Threshold, r.Value)
 	}
 	if rep.Passed {
-		fmt.Println("  slo: PASS")
+		fmt.Fprintln(w, "  slo: PASS")
 	} else {
-		fmt.Println("  slo: FAIL")
+		fmt.Fprintln(w, "  slo: FAIL")
 	}
-}
-
-func validate(args []string) {
-	fs := flag.NewFlagSet("validate", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
-	if fs.NArg() != 1 {
-		fatal(fmt.Errorf("validate needs exactly one timeline file, got %d args", fs.NArg()))
-	}
-	data, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	if err := trace.Validate(data); err != nil {
-		fatal(fmt.Errorf("%s: %w", fs.Arg(0), err))
-	}
-	fmt.Printf("%s: valid %s timeline\n", fs.Arg(0), trace.EventsSchema)
-}
-
-func diff(args []string) {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
-	if fs.NArg() != 2 {
-		fatal(fmt.Errorf("diff needs two decision logs, got %d args", fs.NArg()))
-	}
-	logs := make([][]obs.Decision, 2)
-	for i := range 2 {
-		data, err := os.ReadFile(fs.Arg(i))
-		if err != nil {
-			fatal(err)
-		}
-		logs[i], err = obs.ReadDecisions(data)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", fs.Arg(i), err))
-		}
-	}
-	rows := obs.DiffDecisions(logs[0], logs[1])
-	if len(rows) == 0 {
-		fmt.Printf("identical: %d decisions\n", len(logs[0]))
-		return
-	}
-	for _, row := range rows {
-		fmt.Println(row)
-	}
-	os.Exit(1)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mkobs:", err)
-	os.Exit(1)
-}
-
-func writeArtifact(path string, data []byte) {
-	if path == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatal(err)
-	}
+	return rep.Passed, nil
 }

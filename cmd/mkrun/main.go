@@ -6,19 +6,29 @@
 //	mkrun -app minife -kernel mckernel -nodes 1024
 //	mkrun -app lulesh2.0 -compare -nodes 64
 //	mkrun -app ccs-qcd -kernel mckernel -nodes 2048 -ddr-only
+//	mkrun -app minife -nodes 16 -trace-json run.trace.json -counters-json run.counters.json
+//	mkrun -app minife -nodes 16 -metrics-json run.metrics.json -flame run.folded
+//
+// mkrun is the single-run recorder of the observation artifacts that mkobs
+// reads (see docs/OBSERVABILITY.md). -cpuprofile profiles the simulator
+// itself and is the only wall-clock-dependent output; every artifact is
+// virtual time and byte-deterministic.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"maps"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"strings"
 
 	"mklite"
 	"mklite/internal/cliflags"
+	"mklite/internal/trace"
 )
 
 func main() {
@@ -36,15 +46,35 @@ func main() {
 		schedF    = cliflags.Sched(flag.CommandLine)
 		jsonOut   = flag.Bool("json", false, "emit results as JSON")
 		sweep     = flag.Bool("sweep", false, "sweep the app's full node-count list")
-		trace     = flag.Bool("trace", false, "print a per-timestep breakdown (first 12 steps)")
+		stepTrace = flag.Bool("trace", false, "print a per-timestep breakdown (first 12 steps)")
 		counters  = cliflags.Counters(flag.CommandLine)
+		countersJ = flag.String("counters-json", "", "write the run's mklite-counters/v1 counter dump to this file")
 		metricsF  = cliflags.Metrics(flag.CommandLine)
 		metricsJ  = flag.String("metrics-json", "", "write the run's mklite-metrics/v1 JSON report to this file (implies -metrics)")
-		traceOut  = flag.String("trace-json", "", "write the run's Chrome trace-event JSON to this file")
+		traceOut  = flag.String("trace-json", "", "write the run's mklite-trace/v1 Chrome trace-event JSON to this file")
+		flameOut  = flag.String("flame", "", "write the run's virtual-time folded-stack flame graph to this file")
+		cpuprof   = flag.String("cpuprofile", "", "write a Go CPU profile of the simulator itself to this file")
 		faults    = cliflags.Faults(flag.CommandLine)
 		list      = flag.Bool("list", false, "list applications and exit")
 	)
 	flag.Parse()
+
+	if *cpuprof != "" {
+		f, err := os.Create(*cpuprof)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
+			fmt.Fprintf(os.Stderr, "mkrun: wrote %s\n", *cpuprof)
+		}()
+	}
 
 	if *list {
 		for _, a := range mklite.Apps() {
@@ -62,10 +92,11 @@ func main() {
 		Quadrant:          *quadrant,
 		Sched:             *schedF,
 		Observe: mklite.Observe{
-			Trace:    *trace,
-			Counters: *counters,
+			Trace:    *stepTrace,
+			Counters: *counters || *countersJ != "",
 			Metrics:  *metricsF || *metricsJ != "",
 			Events:   *traceOut != "",
+			Flame:    *flameOut != "",
 		},
 	}
 	if *faults != "" {
@@ -129,16 +160,24 @@ func main() {
 		fatal(err)
 	}
 	if *traceOut != "" {
-		if err := os.WriteFile(*traceOut, r.TraceJSON, 0o644); err != nil {
+		if err := writeTrace(*traceOut, r.TraceJSON); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "mkrun: wrote %s (%d bytes)\n", *traceOut, len(r.TraceJSON))
+	}
+	if *countersJ != "" {
+		ctrs := trace.NewCounters()
+		ctrs.MergeMap(r.Counters)
+		var buf bytes.Buffer
+		if err := ctrs.WriteJSON(&buf); err != nil {
+			fatal(err)
+		}
+		writeArtifact(*countersJ, buf.Bytes())
 	}
 	if *metricsJ != "" {
-		if err := os.WriteFile(*metricsJ, r.MetricsJSON, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "mkrun: wrote %s (%d bytes)\n", *metricsJ, len(r.MetricsJSON))
+		writeArtifact(*metricsJ, r.MetricsJSON)
+	}
+	if *flameOut != "" {
+		writeArtifact(*flameOut, []byte(r.Folded))
 	}
 	if *jsonOut {
 		emitJSON(r)
@@ -176,7 +215,7 @@ func main() {
 			fmt.Print("    ", line)
 		}
 	}
-	if *trace && len(r.StepTrace) > 0 {
+	if *stepTrace && len(r.StepTrace) > 0 {
 		fmt.Println("  per-step trace (ms):")
 		fmt.Printf("    %4s %9s %9s %9s %9s %9s %9s %9s\n",
 			"step", "compute", "memory", "heap", "syscall", "sched", "comm", "noise")
@@ -189,6 +228,29 @@ func main() {
 				s.Compute*1e3, s.Memory*1e3, s.Heap*1e3, s.Syscall*1e3, s.Sched*1e3, s.Comm*1e3, s.Noise*1e3)
 		}
 	}
+}
+
+// writeTrace writes a run's trace export after checking it with the
+// validator mkobs applies, so mkrun never ships a trace its reader rejects.
+func writeTrace(path string, data []byte) error {
+	if err := trace.Validate(data); err != nil {
+		return fmt.Errorf("emitted trace fails validation, not writing %s: %w", path, err)
+	}
+	return save(path, data)
+}
+
+func writeArtifact(path string, data []byte) {
+	if err := save(path, data); err != nil {
+		fatal(err)
+	}
+}
+
+func save(path string, data []byte) error {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "mkrun: wrote %s (%d bytes)\n", path, len(data))
+	return nil
 }
 
 func emitJSON(v any) {

@@ -135,10 +135,10 @@ func checkGlobalSinks(pass *Pass, f *ast.File) {
 				}
 				switch {
 				case isTraceType(v.Type()):
-					pass.Reportf(name.Pos(), "package-level trace sink %s %q: sinks are per-run state threaded through the run's job/config, never package globals (determinism contract, see docs/TRACING.md)",
+					pass.Reportf(name.Pos(), "package-level trace sink %s %q: sinks are per-run state threaded through the run's job/config, never package globals (determinism contract, see docs/OBSERVABILITY.md)",
 						sharedTypeName(v.Type()), name.Name)
 				case isMetricsType(v.Type()):
-					pass.Reportf(name.Pos(), "package-level metrics registry %s %q: registries are per-run state attached through Options.Metrics, never package globals (determinism contract, see docs/METRICS.md)",
+					pass.Reportf(name.Pos(), "package-level metrics registry %s %q: registries are per-run state attached through Options.Metrics, never package globals (determinism contract, see docs/OBSERVABILITY.md)",
 						sharedTypeName(v.Type()), name.Name)
 				}
 			}

@@ -1,8 +1,12 @@
 // Package cliflags declares the command-line flags shared by the mklite
-// commands (mkrun, mkexperiments, mknoise, mkfleet). Each shared flag is
-// defined exactly once here — name, default and help text — so the commands
-// cannot drift apart and a new cross-cutting flag (such as -sched) is added
-// in one place. Flags unique to a single command stay in that command.
+// commands that run simulations (mkrun, mkexperiments, mknoise, mkfleet).
+// Each shared flag is defined exactly once here — name, default and help
+// text — so the commands cannot drift apart and a new cross-cutting flag
+// (such as -sched) is added in one place. Flags unique to a single command
+// stay in that command, including the artifact-recording flags: mkrun
+// records single runs (-trace-json, -counters-json, -metrics-json, -flame)
+// and mkfleet facility runs (-obs-*). mkobs only reads artifacts and
+// declares no run flags.
 package cliflags
 
 import (

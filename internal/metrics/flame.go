@@ -78,8 +78,8 @@ func Folded(events []trace.Event) string {
 	return b.String()
 }
 
-// FoldedFromJSON parses a Chrome trace-event export (an mktrace/mkrun
-// .trace.json artifact) and folds it. The schema check rides
+// FoldedFromJSON parses a Chrome trace-event export (an mkrun
+// -trace-json artifact or an mkfleet timeline) and folds it. The schema check rides
 // trace.ParseEvents.
 func FoldedFromJSON(data []byte) (string, error) {
 	events, _, err := trace.ParseEvents(data)

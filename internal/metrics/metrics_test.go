@@ -254,15 +254,28 @@ func TestDiff(t *testing.T) {
 	a.Observe("d", 10)
 	b.Observe("d", 10)
 	b.Observe("d", 1000)
-	out := Diff(a.Report(), b.Report())
+	out, same := Diff(a.Report(), b.Report())
+	if same {
+		t.Fatalf("differing reports diff as identical:\n%s", out)
+	}
 	if !strings.Contains(out, "compute") || !strings.Contains(out, "+50.0%") {
 		t.Fatalf("diff missing phase delta:\n%s", out)
 	}
 	if !strings.Contains(out, "1 -> 2") {
 		t.Fatalf("diff missing count delta:\n%s", out)
 	}
-	if same := Diff(a.Report(), a.Report()); !strings.Contains(same, "no metric differences") {
-		t.Fatalf("self-diff not empty:\n%s", same)
+	if self, same := Diff(a.Report(), a.Report()); !same || !strings.Contains(self, "no metric differences") {
+		t.Fatalf("self-diff not empty:\n%s", self)
+	}
+	// Gauge and per-rank moves are differences too, even with phases and
+	// flat distributions equal.
+	a.SetGauge("g", 1)
+	a.ObserveRank("r", 1, 5)
+	c := NewRegistry()
+	c.AddPhase("compute", 100)
+	c.Observe("d", 10)
+	if out, same := Diff(a.Report(), c.Report()); same || !strings.Contains(out, "gauge deltas") || !strings.Contains(out, "r[1]") {
+		t.Fatalf("gauge/per-rank moves not reported:\n%s", out)
 	}
 }
 

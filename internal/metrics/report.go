@@ -12,7 +12,7 @@ import (
 )
 
 // Schema versions the metrics report format and its key namespace. Bump when
-// a field is renamed or its meaning changes; mkprof diff refuses to compare
+// a field is renamed or its meaning changes; mkobs diff refuses to compare
 // files with different schemas.
 const Schema = "mklite-metrics/v1"
 
@@ -38,9 +38,9 @@ type HistReport struct {
 	Bkts  []BucketCount `json:"buckets,omitempty"`
 }
 
-// Report is the schema-versioned export of one registry: the shape mkprof
-// writes, reads, renders and diffs. encoding/json sorts map keys, so the
-// bytes are deterministic.
+// Report is the schema-versioned export of one registry: the shape mkrun
+// writes and mkobs reads, renders and diffs. encoding/json sorts map keys,
+// so the bytes are deterministic.
 type Report struct {
 	Schema string                  `json:"schema"`
 	Phases map[string]int64        `json:"phases,omitempty"`
@@ -211,20 +211,14 @@ func (rep *Report) Render() string {
 	return b.String()
 }
 
-// Diff renders the comparison of two reports: phases whose accumulated time
-// moved, and distributions whose count or tail percentiles moved. Rows are
-// sorted by name; identical entries are omitted.
-func Diff(oldR, newR *Report) string {
+// Diff renders the comparison of two reports — phases, gauges and
+// distributions (flat and per-rank) that moved — and reports whether the
+// reports are identical. Rows are sorted by name; identical entries are
+// omitted.
+func Diff(oldR, newR *Report) (string, bool) {
 	var b strings.Builder
-	phaseKeys := map[string]bool{}
-	for k := range oldR.Phases {
-		phaseKeys[k] = true
-	}
-	for k := range newR.Phases {
-		phaseKeys[k] = true
-	}
 	var ptb *stats.Table
-	for _, k := range slices.Sorted(maps.Keys(phaseKeys)) {
+	for _, k := range unionKeys(oldR.Phases, newR.Phases) {
 		o, n := oldR.Phases[k], newR.Phases[k]
 		if o == n {
 			continue
@@ -242,34 +236,71 @@ func Diff(oldR, newR *Report) string {
 		b.WriteString("-- phase deltas --\n")
 		b.WriteString(ptb.Render())
 	}
-	histKeys := map[string]bool{}
-	for k := range oldR.Hists {
-		histKeys[k] = true
+	var gtb *stats.Table
+	for _, k := range unionKeys(oldR.Gauges, newR.Gauges) {
+		o, n := oldR.Gauges[k], newR.Gauges[k]
+		if o == n {
+			continue
+		}
+		if gtb == nil {
+			gtb = stats.NewTable("gauge", "old", "new")
+		}
+		gtb.AddRow(k, fmt.Sprintf("%d", o), fmt.Sprintf("%d", n))
 	}
-	for k := range newR.Hists {
-		histKeys[k] = true
+	if gtb != nil {
+		b.WriteString("-- gauge deltas --\n")
+		b.WriteString(gtb.Render())
 	}
 	var htb *stats.Table
-	for _, k := range slices.Sorted(maps.Keys(histKeys)) {
-		o, n := oldR.Hists[k], newR.Hists[k]
-		if o.Count == n.Count && o.P50 == n.P50 && o.P999 == n.P999 && o.Max == n.Max {
-			continue
+	histDelta := func(label string, o, n HistReport) {
+		if sameHist(o, n) {
+			return
 		}
 		if htb == nil {
 			htb = stats.NewTable("distribution", "count", "p50 (us)", "p99.9 (us)", "max (us)")
 		}
-		htb.AddRow(k,
+		htb.AddRow(label,
 			fmt.Sprintf("%d -> %d", o.Count, n.Count),
 			fmt.Sprintf("%s -> %s", ns(o.P50), ns(n.P50)),
 			fmt.Sprintf("%s -> %s", ns(o.P999), ns(n.P999)),
 			fmt.Sprintf("%s -> %s", ns(float64(o.Max)), ns(float64(n.Max))))
+	}
+	for _, k := range unionKeys(oldR.Hists, newR.Hists) {
+		histDelta(k, oldR.Hists[k], newR.Hists[k])
+	}
+	for _, k := range unionKeys(oldR.Ranked, newR.Ranked) {
+		o, n := oldR.Ranked[k], newR.Ranked[k]
+		for i := range max(len(o), len(n)) {
+			var or, nr HistReport
+			if i < len(o) {
+				or = o[i]
+			}
+			if i < len(n) {
+				nr = n[i]
+			}
+			histDelta(fmt.Sprintf("%s[%d]", k, i), or, nr)
+		}
 	}
 	if htb != nil {
 		b.WriteString("-- distribution deltas --\n")
 		b.WriteString(htb.Render())
 	}
 	if b.Len() == 0 {
-		return "(no metric differences)\n"
+		return "(no metric differences)\n", true
 	}
-	return b.String()
+	return b.String(), false
+}
+
+// sameHist compares every exported field, buckets included.
+func sameHist(a, b HistReport) bool {
+	return a.Count == b.Count && a.Sum == b.Sum && a.Min == b.Min && a.Max == b.Max &&
+		a.P50 == b.P50 && a.P90 == b.P90 && a.P99 == b.P99 && a.P999 == b.P999 &&
+		slices.Equal(a.Bkts, b.Bkts)
+}
+
+// unionKeys returns the keys of a and b, sorted.
+func unionKeys[V any](a, b map[string]V) []string {
+	keys := slices.AppendSeq(slices.Collect(maps.Keys(a)), maps.Keys(b))
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }

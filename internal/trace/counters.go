@@ -10,7 +10,7 @@ import (
 )
 
 // CountersSchema versions the counter file format and the key namespace.
-// Bump when a key is renamed or its meaning changes; mktrace -diff refuses
+// Bump when a key is renamed or its meaning changes; mkobs diff refuses
 // to compare files with different schemas.
 const CountersSchema = "mklite-counters/v1"
 
@@ -228,8 +228,7 @@ func DiffCounters(oldC, newC map[string]int64) []CounterDiff {
 }
 
 // FormatCounters renders a counter map as aligned "name value" lines sorted
-// by name — the human-readable summary mktrace and the -counters flags
-// print.
+// by name — the human-readable summary the -counters flags print.
 func FormatCounters(m map[string]int64) string {
 	var b strings.Builder
 	width := 0

@@ -60,8 +60,8 @@ type rawTrace struct {
 // this package emits it: parseable, known phases, per-(pid,tid) monotone
 // timestamps, and balanced B/E spans with matching names. When the ring
 // dropped events the balance check is skipped (eviction can orphan spans)
-// but monotonicity still must hold. CI's trace-smoke step runs this on the
-// mktrace artifact.
+// but monotonicity still must hold. mkrun runs this before writing a trace,
+// and mkobs validate runs it on any trace or timeline file.
 func Validate(data []byte) error {
 	var tr rawTrace
 	if err := json.Unmarshal(data, &tr); err != nil {

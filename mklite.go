@@ -252,7 +252,7 @@ type Result struct {
 	LostNodes       int     `json:"LostNodes,omitempty"`
 
 	// Counters holds the run's mechanism counters when Options.Counters
-	// was set (sorted on export; see docs/TRACING.md for the key
+	// was set (sorted on export; see docs/OBSERVABILITY.md for the key
 	// namespace).
 	Counters map[string]int64 `json:"Counters,omitempty"`
 	// TraceJSON holds the Chrome trace-event export when Options.Events
