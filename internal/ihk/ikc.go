@@ -66,9 +66,7 @@ type OffloadServer struct {
 	eng     *sim.Engine
 	ikc     *IKC
 	workers int
-	queue   sim.Mailbox
-	replies map[int]*sim.Signal
-	nextID  int
+	queue   sim.Mailbox[offloadReq]
 	// Serviced counts completed offloads.
 	Serviced int
 	// depth tracks requests enqueued but not yet picked up by a worker;
@@ -77,9 +75,11 @@ type OffloadServer struct {
 	depth int64
 }
 
+// offloadReq is one queued syscall. The reply goes straight back to the
+// requesting process, parked until its worker unparks it, so a call needs
+// no reply object of its own.
 type offloadReq struct {
-	id      int
-	appCore int
+	caller  *sim.Proc
 	service sim.Duration
 }
 
@@ -89,7 +89,6 @@ func NewOffloadServer(eng *sim.Engine, ikc *IKC, workers int) *OffloadServer {
 		eng:     eng,
 		ikc:     ikc,
 		workers: workers,
-		replies: make(map[int]*sim.Signal),
 	}
 	for w := 0; w < workers; w++ {
 		eng.Spawn(fmt.Sprintf("proxy-worker-%d", w), s.worker)
@@ -99,7 +98,7 @@ func NewOffloadServer(eng *sim.Engine, ikc *IKC, workers int) *OffloadServer {
 
 func (s *OffloadServer) worker(p *sim.Proc) {
 	for {
-		req := p.Recv(&s.queue).(offloadReq)
+		req := s.queue.Recv(p)
 		s.depth--
 		if sink := s.eng.Sink(); sink.Eventing() {
 			sink.CounterEvent(int64(s.eng.Now()), 0, "offload.queue_depth", s.depth)
@@ -107,10 +106,7 @@ func (s *OffloadServer) worker(p *sim.Proc) {
 		p.Sleep(req.service)
 		s.Serviced++
 		s.eng.Sink().CountKey(trace.KeyIHKServiced, 1)
-		if sig := s.replies[req.id]; sig != nil {
-			delete(s.replies, req.id)
-			sig.Fire(s.eng)
-		}
+		req.caller.Unpark()
 	}
 }
 
@@ -124,11 +120,7 @@ func (s *OffloadServer) Offload(p *sim.Proc, appCore int, service sim.Duration) 
 	}
 	// Request flight time.
 	p.Sleep(rtt / 2)
-	id := s.nextID
-	s.nextID++
-	sig := &sim.Signal{}
-	s.replies[id] = sig
-	s.queue.Send(s.eng, offloadReq{id: id, appCore: appCore, service: service})
+	s.queue.Send(s.eng, offloadReq{caller: p, service: service})
 	s.depth++
 	if sink := s.eng.Sink(); sink != nil {
 		sink.CountKey(trace.KeyIHKOffloads, 1)
@@ -138,7 +130,7 @@ func (s *OffloadServer) Offload(p *sim.Proc, appCore int, service sim.Duration) 
 			sink.CounterEvent(int64(s.eng.Now()), 0, "offload.queue_depth", s.depth)
 		}
 	}
-	p.WaitSignal(sig)
+	p.Park()
 	// Response flight time.
 	p.Sleep(rtt - rtt/2)
 	return nil

@@ -72,28 +72,26 @@ type Result struct {
 	OffloadStalls int
 }
 
-// barrier is a reusable all-ranks rendezvous.
+// barrier is a reusable all-ranks rendezvous. One Signal serves every
+// step: Fire schedules the current waiters and empties the signal, so the
+// next step's arrivals wait on it afresh.
 type barrier struct {
 	n       int
 	arrived int
-	sig     *sim.Signal
+	sig     sim.Signal
 }
-
-func newBarrier(n int) *barrier { return &barrier{n: n, sig: &sim.Signal{}} }
 
 // wait blocks until all n participants have arrived.
 func (b *barrier) wait(p *sim.Proc) {
 	b.arrived++
 	if b.arrived == b.n {
 		b.arrived = 0
-		old := b.sig
-		b.sig = &sim.Signal{}
-		old.Fire(p.Engine())
+		b.sig.Fire(p.Engine())
 		// The releasing rank does not wait; it continues once the
 		// others are scheduled to wake.
 		return
 	}
-	p.WaitSignal(b.sig)
+	p.WaitSignal(&b.sig)
 }
 
 // Run executes the node simulation.
@@ -147,9 +145,12 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	res := Result{}
-	bar := newBarrier(cfg.Ranks)
+	bar := barrier{n: cfg.Ranks}
 	var finished int
 	var last sim.Time
+	// runErr is the first offload error; the failing rank stops, so the
+	// run cannot finish and reports this instead of a deadlock.
+	var runErr error
 
 	for r := 0; r < cfg.Ranks; r++ {
 		core := part.AppCores[r]
@@ -186,6 +187,9 @@ func Run(cfg Config) (Result, error) {
 								continue
 							}
 							if err := srv.Offload(p, core, service); err != nil {
+								if runErr == nil {
+									runErr = err
+								}
 								return
 							}
 							break
@@ -220,6 +224,12 @@ func Run(cfg Config) (Result, error) {
 		})
 	}
 	eng.RunUntil(sim.Time(sim.Hour))
+	// Unwind whatever is still blocked (the proxy workers always are;
+	// after a failure, ranks too), so no process goroutine outlives Run.
+	eng.Drain()
+	if runErr != nil {
+		return Result{}, fmt.Errorf("nodesim: %w", runErr)
+	}
 	if finished != cfg.Ranks {
 		return Result{}, fmt.Errorf("nodesim: only %d of %d ranks finished (deadlock?)", finished, cfg.Ranks)
 	}

@@ -27,15 +27,35 @@ type calQueue struct {
 	buckets []calBucket
 	mask    int    // len(buckets)-1; bucket count is a power of two
 	width   uint64 // bucket width in virtual nanoseconds, >= 1
-	size    int    // queued events, including cancelled ones not yet popped
-	last    Time   // scan floor: no queued event is earlier
+	size    int    // queued entries, including cancelled ones not yet popped
+	last    Time   // scan floor: no queued entry is earlier
+	// spare is resize's gather buffer, kept between resizes so that a
+	// burst that grows the calendar and the drain that shrinks it again
+	// allocate nothing once the queue has seen its peak size.
+	spare []calEntry
 }
 
-// calBucket is one calendar day: events sorted by (at, seq). Popping
-// advances head (nil-ing the slot so the Event can be collected); the slice
-// is reset once drained so its capacity is reused.
+// calEntry is one scheduled wake-up, stored by value: either a process to
+// dispatch (proc) or a closure event (ev), never both. Process wakes — the
+// steady-state traffic of Sleep, Signal and Mailbox — carry no heap object
+// of their own; closure events keep their *Event so callers can Cancel it.
+type calEntry struct {
+	at   Time
+	seq  uint64 // tiebreaker: insertion order
+	proc *Proc
+	ev   *Event
+}
+
+// before reports whether e orders strictly before o by (at, seq).
+func (e *calEntry) before(o *calEntry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// calBucket is one calendar day: entries sorted by (at, seq). Popping
+// advances head (zeroing the slot so nothing it referenced is retained); the
+// slice is reset once drained so its capacity is reused.
 type calBucket struct {
-	evs  []*Event
+	evs  []calEntry
 	head int
 }
 
@@ -56,39 +76,36 @@ func (q *calQueue) bucketFor(t Time) int {
 	return int((uint64(t) / q.width)) & q.mask
 }
 
-// push inserts ev, keeping its bucket sorted by (at, seq). Because seq is
-// monotone, an event scheduled later than everything in its bucket — the
+// push inserts e, keeping its bucket sorted by (at, seq). Because seq is
+// monotone, an entry scheduled later than everything in its bucket — the
 // common case — is a plain append.
-func (q *calQueue) push(ev *Event) {
-	if q.size == 0 || ev.at < q.last {
-		q.last = ev.at
+func (q *calQueue) push(e calEntry) {
+	if q.size == 0 || e.at < q.last {
+		q.last = e.at
 	}
-	q.insert(ev)
+	q.insert(e)
 	q.size++
 	if q.size > 2*len(q.buckets) {
 		q.resize(2 * len(q.buckets))
 	}
 }
 
-func (q *calQueue) insert(ev *Event) {
-	b := &q.buckets[q.bucketFor(ev.at)]
-	b.evs = append(b.evs, ev)
+func (q *calQueue) insert(e calEntry) {
+	b := &q.buckets[q.bucketFor(e.at)]
+	b.evs = append(b.evs, e)
 	i := len(b.evs) - 1
-	for i > b.head {
-		prev := b.evs[i-1]
-		if prev.at < ev.at || (prev.at == ev.at && prev.seq < ev.seq) {
-			break
-		}
-		b.evs[i] = prev
+	for i > b.head && !b.evs[i-1].before(&e) {
+		b.evs[i] = b.evs[i-1]
 		i--
 	}
-	b.evs[i] = ev
+	b.evs[i] = e
 }
 
-// peek returns the minimum queued event by (at, seq) without removing it,
-// or nil when the queue is empty. It tightens q.last to the found timestamp
-// so the following pop (and the next peek) find it in the first bucket.
-func (q *calQueue) peek() *Event {
+// front returns the bucket whose head is the minimum queued entry by
+// (at, seq), or nil when the queue is empty. It tightens q.last to that
+// entry's timestamp so the following pop (and the next front) find it in
+// the first bucket scanned.
+func (q *calQueue) front() *calBucket {
 	if q.size == 0 {
 		return nil
 	}
@@ -99,9 +116,9 @@ func (q *calQueue) peek() *Event {
 	for i := 0; i <= q.mask; i++ {
 		b := &q.buckets[(start+i)&q.mask]
 		if b.head < len(b.evs) {
-			if ev := b.evs[b.head]; uint64(ev.at) < top {
-				q.last = ev.at
-				return ev
+			if at := b.evs[b.head].at; uint64(at) < top {
+				q.last = at
+				return b
 			}
 		}
 		next := top + q.width
@@ -110,32 +127,41 @@ func (q *calQueue) peek() *Event {
 		}
 		top = next
 	}
-	// Full lap without a hit: the next event is more than a full calendar
+	// Full lap without a hit: the next entry is more than a full calendar
 	// year away. Fall back to a direct minimum over the bucket heads.
-	var min *Event
+	var min *calBucket
 	for bi := range q.buckets {
 		b := &q.buckets[bi]
 		if b.head >= len(b.evs) {
 			continue
 		}
-		ev := b.evs[b.head]
-		if min == nil || ev.at < min.at || (ev.at == min.at && ev.seq < min.seq) {
-			min = ev
+		if min == nil || b.evs[b.head].before(&min.evs[min.head]) {
+			min = b
 		}
 	}
-	q.last = min.at
+	q.last = min.evs[min.head].at
 	return min
 }
 
-// pop removes and returns the minimum queued event, or nil when empty.
-func (q *calQueue) pop() *Event {
-	ev := q.peek()
-	if ev == nil {
-		return nil
+// peek returns the timestamp of the minimum queued entry; ok is false when
+// the queue is empty.
+func (q *calQueue) peek() (at Time, ok bool) {
+	b := q.front()
+	if b == nil {
+		return 0, false
 	}
-	// peek set q.last = ev.at, so ev is at the head of last's bucket.
-	b := &q.buckets[q.bucketFor(ev.at)]
-	b.evs[b.head] = nil
+	return b.evs[b.head].at, true
+}
+
+// pop removes and returns the minimum queued entry; ok is false when the
+// queue is empty.
+func (q *calQueue) pop() (e calEntry, ok bool) {
+	b := q.front()
+	if b == nil {
+		return calEntry{}, false
+	}
+	e = b.evs[b.head]
+	b.evs[b.head] = calEntry{}
 	b.head++
 	if b.head == len(b.evs) {
 		b.evs = b.evs[:0]
@@ -145,26 +171,33 @@ func (q *calQueue) pop() *Event {
 	if q.size < len(q.buckets)/2 && len(q.buckets) > calMinBuckets {
 		q.resize(len(q.buckets) / 2)
 	}
-	return ev
+	return e, true
 }
 
 // resize rebuilds the calendar with nbuckets buckets and a width recalibrated
-// to the average inter-event gap, so a year (nbuckets x width) spans the
-// queued events and the pop scan touches O(1) buckets per event.
+// to the average inter-entry gap, so a year (nbuckets x width) spans the
+// queued entries and the pop scan touches O(1) buckets per entry. Storage is
+// recycled: the bucket array is resliced when it has the capacity (and the
+// buckets past its length keep their emptied backing arrays for the next
+// growth), and each bucket keeps its slice's capacity. Only the layout
+// changes; pop order is fixed by (at, seq) alone.
 func (q *calQueue) resize(nbuckets int) {
-	all := make([]*Event, 0, q.size)
+	all := q.spare[:0]
 	minAt, maxAt := Never, Time(0)
 	for bi := range q.buckets {
 		b := &q.buckets[bi]
-		for _, ev := range b.evs[b.head:] {
-			all = append(all, ev)
-			if ev.at < minAt {
-				minAt = ev.at
+		for _, e := range b.evs[b.head:] {
+			all = append(all, e)
+			if e.at < minAt {
+				minAt = e.at
 			}
-			if ev.at > maxAt {
-				maxAt = ev.at
+			if e.at > maxAt {
+				maxAt = e.at
 			}
 		}
+		clear(b.evs)
+		b.evs = b.evs[:0]
+		b.head = 0
 	}
 	width := uint64(1)
 	if n := len(all); n > 1 && maxAt > minAt {
@@ -172,23 +205,34 @@ func (q *calQueue) resize(nbuckets int) {
 			width = w
 		}
 	}
-	q.buckets = make([]calBucket, nbuckets)
+	if nbuckets <= cap(q.buckets) {
+		q.buckets = q.buckets[:nbuckets]
+	} else {
+		grown := make([]calBucket, nbuckets)
+		copy(grown, q.buckets[:cap(q.buckets)])
+		q.buckets = grown
+	}
 	q.mask = nbuckets - 1
 	q.width = width
-	for _, ev := range all {
-		q.insert(ev)
+	for _, e := range all {
+		q.insert(e)
 	}
+	clear(all)
+	q.spare = all[:0]
 }
 
-// clear cancels and discards every queued event, nil-ing the stored slots so
-// the backing arrays retain no Event (and closure) references.
+// clear cancels every queued closure event and discards every entry,
+// zeroing the stored slots so the backing arrays retain no Event (and
+// closure) or Proc references.
 func (q *calQueue) clear() {
 	for bi := range q.buckets {
 		b := &q.buckets[bi]
-		for i := b.head; i < len(b.evs); i++ {
-			b.evs[i].dead = true
-			b.evs[i] = nil
+		for _, e := range b.evs[b.head:] {
+			if e.ev != nil {
+				e.ev.dead = true
+			}
 		}
+		clear(b.evs)
 		b.evs = b.evs[:0]
 		b.head = 0
 	}

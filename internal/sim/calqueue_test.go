@@ -6,11 +6,21 @@ import (
 	"testing"
 )
 
+// refEntry is the reference model's copy of one queued entry: its own
+// record of the cancel state, so the heap's bookkeeping cannot alias the
+// calendar queue's.
+type refEntry struct {
+	at   Time
+	seq  uint64
+	proc *Proc
+	dead bool
+}
+
 // refHeap is the binary heap the calendar queue replaced, kept here as the
 // reference model for the equivalence property: a container/heap ordered by
 // (at, seq), exactly as internal/sim/engine.go had it before the calendar
 // queue landed.
-type refHeap []*Event
+type refHeap []*refEntry
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
@@ -20,22 +30,25 @@ func (h refHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEntry)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
-	ev := old[n-1]
+	e := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
-	return ev
+	return e
 }
 
 // TestCalQueueMatchesBinaryHeap drives the calendar queue and the retired
-// binary heap through identical random workloads — pushes at random future
-// times, same-timestamp bursts, cancellations, interleaved pops — and
-// requires byte-for-byte identical pop sequences. Pops respect the engine
-// invariant that nothing is ever scheduled before the last popped timestamp.
+// binary heap through identical random workloads — process wakes and
+// closure events mixed, pushes at random future times, same-timestamp
+// bursts, cancellations, interleaved pops — and requires identical pop
+// sequences: the same (at, seq), the same kind of entry, the same process
+// and the same cancel state. Pops respect the engine invariant that nothing
+// is ever scheduled before the last popped timestamp.
 func TestCalQueueMatchesBinaryHeap(t *testing.T) {
+	procs := []*Proc{{name: "a"}, {name: "b"}, {name: "c"}}
 	for _, seed := range []uint64{1, 2, 3, 42, 0xdead} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -43,34 +56,47 @@ func TestCalQueueMatchesBinaryHeap(t *testing.T) {
 			var q calQueue
 			q.init()
 			var ref refHeap
-			var live []*Event // events pushed and not yet popped, for Cancel
+			// live holds the closure events pushed and not yet
+			// cancelled, for Cancel (cancelling one already popped is
+			// a no-op in both); refs maps each to the reference's copy.
+			var live []*Event
+			refs := map[*Event]*refEntry{}
 			var seq uint64
 			now := Time(0)
 
 			push := func(at Time) {
-				ev := &Event{at: at, seq: seq}
+				e := calEntry{at: at, seq: seq}
+				r := &refEntry{at: at, seq: seq}
 				seq++
-				q.push(ev)
-				// The reference holds its own Event so the heap's
-				// bookkeeping cannot alias the calendar queue's.
-				heap.Push(&ref, &Event{at: at, seq: ev.seq, dead: false})
-				live = append(live, ev)
+				if rng.Intn(2) == 0 {
+					e.proc = procs[rng.Intn(len(procs))]
+					r.proc = e.proc
+				} else {
+					e.ev = &Event{at: at}
+					live = append(live, e.ev)
+					refs[e.ev] = r
+				}
+				q.push(e)
+				heap.Push(&ref, r)
 			}
 			popBoth := func() {
-				got := q.pop()
-				var want *Event
+				got, ok := q.pop()
+				var want *refEntry
 				if ref.Len() > 0 {
-					want = heap.Pop(&ref).(*Event)
+					want = heap.Pop(&ref).(*refEntry)
 				}
 				switch {
-				case got == nil && want == nil:
+				case !ok && want == nil:
 					return
-				case got == nil || want == nil:
-					t.Fatalf("pop mismatch: calqueue=%v heap=%v", got, want)
+				case !ok || want == nil:
+					t.Fatalf("pop mismatch: calqueue ok=%v heap=%v", ok, want)
 				case got.at != want.at || got.seq != want.seq:
 					t.Fatalf("pop order diverged: calqueue (at=%d seq=%d) vs heap (at=%d seq=%d)",
 						got.at, got.seq, want.at, want.seq)
-				case got.dead != want.dead:
+				case got.proc != want.proc || (got.proc == nil) == (got.ev == nil):
+					t.Fatalf("entry kind diverged at seq %d: proc %v ev %v, want proc %v",
+						got.seq, got.proc, got.ev, want.proc)
+				case got.ev != nil && got.ev.dead != want.dead:
 					t.Fatalf("cancel state diverged at seq %d", got.seq)
 				}
 				now = got.at
@@ -91,13 +117,8 @@ func TestCalQueueMatchesBinaryHeap(t *testing.T) {
 					if len(live) > 0 {
 						i := rng.Intn(len(live))
 						victim := live[i]
-						victim.dead = true
-						for j := range ref {
-							if ref[j].seq == victim.seq {
-								ref[j].dead = true
-								break
-							}
-						}
+						victim.Cancel()
+						refs[victim].dead = true
 						live = append(live[:i], live[i+1:]...)
 					}
 				default:
@@ -120,15 +141,15 @@ func TestCalQueueFIFOBurst(t *testing.T) {
 	q.init()
 	const n = 4096
 	for i := 0; i < n; i++ {
-		q.push(&Event{at: 77, seq: uint64(i)})
+		q.push(calEntry{at: 77, seq: uint64(i)})
 	}
 	for i := 0; i < n; i++ {
-		ev := q.pop()
-		if ev == nil || ev.seq != uint64(i) {
-			t.Fatalf("burst pop %d returned seq %v", i, ev)
+		e, ok := q.pop()
+		if !ok || e.seq != uint64(i) {
+			t.Fatalf("burst pop %d returned seq %d (ok %v)", i, e.seq, ok)
 		}
 	}
-	if q.pop() != nil {
+	if _, ok := q.pop(); ok {
 		t.Fatal("queue not empty after draining burst")
 	}
 }
