@@ -9,11 +9,11 @@ import (
 	"mklite/internal/sim"
 )
 
-func bootLinux(t *testing.T) *linuxos.Kernel {
-	t.Helper()
+func bootLinux(tb testing.TB) *linuxos.Kernel {
+	tb.Helper()
 	k, err := linuxos.Boot(hw.KNL7250SNC4(), linuxos.DefaultConfig())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return k
 }

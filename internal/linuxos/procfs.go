@@ -60,7 +60,7 @@ func NewPartitionProcFS(node *hw.NodeSpec, part kernel.Partition) *ProcFS {
 }
 
 func allCPUs(node *hw.NodeSpec) []int {
-	var cpus []int
+	cpus := make([]int, 0, node.NumLogicalCPUs())
 	for _, c := range node.Cores {
 		cpus = append(cpus, c.CPUs...)
 	}

@@ -1,6 +1,7 @@
 package nodesim
 
 import (
+	"strings"
 	"testing"
 
 	"mklite/internal/hw"
@@ -228,5 +229,29 @@ func TestAnalyticEstimateOffloadTerm(t *testing.T) {
 	cfgLin.SyscallsPerStep = 10
 	if AnalyticEstimate(cfg) <= AnalyticEstimate(cfgLin) {
 		t.Fatal("offloaded estimate should exceed native")
+	}
+}
+
+// noOSCores is an offloading kernel whose partition has lost its OS cores,
+// so every offload fails to find a target.
+type noOSCores struct{ kernel.Kernel }
+
+func (k noOSCores) Partition() kernel.Partition {
+	p := k.Kernel.Partition()
+	p.OSCores = nil
+	return p
+}
+
+func TestOffloadErrorSurfaces(t *testing.T) {
+	_, mck, _ := kernels(t)
+	cfg := base(noOSCores{mck})
+	cfg.SyscallsPerStep = 1
+	cfg.Barrier = true
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "kernel: no OS cores in partition") {
+		t.Fatalf("error %v, want the offload target error", err)
+	}
+	if strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("offload error reported as a deadlock: %v", err)
 	}
 }
