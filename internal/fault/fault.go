@@ -260,6 +260,8 @@ func (p *Plan) Empty() bool {
 }
 
 // Validate rejects plans whose parameters are outside the model's domain.
+// The float checks are written as "not inside the domain" so that NaN,
+// which compares false with every bound, is rejected too.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
@@ -268,7 +270,7 @@ func (p *Plan) Validate() error {
 		if s.Node < 0 {
 			return fmt.Errorf("fault: straggler %d: negative node %d", i, s.Node)
 		}
-		if s.Factor < 0 || (s.Factor != 0 && s.Factor < 1) {
+		if !(s.Factor == 0 || s.Factor >= 1) {
 			return fmt.Errorf("fault: straggler %d: factor %g must be 0 (unset) or >= 1", i, s.Factor)
 		}
 		if s.Extra < 0 {
@@ -279,7 +281,7 @@ func (p *Plan) Validate() error {
 		}
 	}
 	if o := p.Offload; o != nil {
-		if o.StallProb < 0 || o.StallProb > 1 {
+		if !(o.StallProb >= 0 && o.StallProb <= 1) {
 			return fmt.Errorf("fault: offload stall probability %g outside [0, 1]", o.StallProb)
 		}
 		if o.Stall < 0 {
@@ -290,7 +292,7 @@ func (p *Plan) Validate() error {
 		}
 	}
 	if l := p.Link; l != nil {
-		if l.LossProb < 0 || l.LossProb >= 1 {
+		if !(l.LossProb >= 0 && l.LossProb < 1) {
 			return fmt.Errorf("fault: link loss probability %g outside [0, 1)", l.LossProb)
 		}
 		if l.Timeout < 0 {
@@ -301,7 +303,7 @@ func (p *Plan) Validate() error {
 		}
 	}
 	if n := p.NodeFail; n != nil {
-		if n.Prob < 0 || n.Prob > 1 {
+		if !(n.Prob >= 0 && n.Prob <= 1) {
 			return fmt.Errorf("fault: node failure probability %g outside [0, 1]", n.Prob)
 		}
 		if n.FailFirst < 0 {
@@ -312,10 +314,10 @@ func (p *Plan) Validate() error {
 		if s.Period < 0 || s.Burst < 0 {
 			return fmt.Errorf("fault: daemon storm with negative period or burst")
 		}
-		if s.CV < 0 {
+		if !(s.CV >= 0) {
 			return fmt.Errorf("fault: daemon storm with negative CV %g", s.CV)
 		}
-		if s.OffloadFactor < 0 {
+		if !(s.OffloadFactor >= 0) {
 			return fmt.Errorf("fault: daemon storm with negative offload factor %g", s.OffloadFactor)
 		}
 	}

@@ -55,6 +55,49 @@ func ParsePlan(spec string) (*Plan, error) {
 	return p, nil
 }
 
+// String renders the plan in ParsePlan's clause syntax, canonically:
+// stragglers in plan order, then offload, link, nodefail, storm, retry and
+// degraded clauses, each with every key spelled out, numbers in their
+// shortest round-trip form and durations in time.Duration notation. For
+// any plan ParsePlan returned, ParsePlan(p.String()) reproduces it; a plan
+// that injects nothing and sets no retry policy renders as "", which
+// parses to nil.
+func (p *Plan) String() string {
+	if p == nil {
+		return ""
+	}
+	var clauses []string
+	add := func(format string, args ...any) { clauses = append(clauses, fmt.Sprintf(format, args...)) }
+	for _, s := range p.Stragglers {
+		add("straggler:node=%d,factor=%s,extra=%s,start=%d,steps=%d",
+			s.Node, fmtFloat(s.Factor), fmtDuration(s.Extra), s.StartStep, s.Steps)
+	}
+	if o := p.Offload; o != nil {
+		add("offload:prob=%s,stall=%s,retries=%d", fmtFloat(o.StallProb), fmtDuration(o.Stall), o.MaxRetries)
+	}
+	if l := p.Link; l != nil {
+		add("link:loss=%s,timeout=%s,bytes=%d", fmtFloat(l.LossProb), fmtDuration(l.Timeout), l.MessageBytes)
+	}
+	if n := p.NodeFail; n != nil {
+		add("nodefail:prob=%s,failfirst=%d", fmtFloat(n.Prob), n.FailFirst)
+	}
+	if s := p.Storm; s != nil {
+		add("storm:period=%s,burst=%s,cv=%s,offload=%s",
+			fmtDuration(s.Period), fmtDuration(s.Burst), fmtFloat(s.CV), fmtFloat(s.OffloadFactor))
+	}
+	if r := p.Retry; r != (RetryPolicy{}) {
+		add("retry:max=%d,base=%s,cap=%s", r.MaxRetries, fmtDuration(r.Base), fmtDuration(r.Max))
+	}
+	if p.AllowDegraded {
+		clauses = append(clauses, "degraded")
+	}
+	return strings.Join(clauses, ";")
+}
+
+func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+
+func fmtDuration(d sim.Duration) string { return time.Duration(d).String() }
+
 // applyClause folds one parsed clause into the plan.
 func applyClause(p *Plan, kind string, args *argSet) error {
 	switch kind {

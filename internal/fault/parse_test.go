@@ -55,6 +55,13 @@ func TestParsePlanNegativeAndOutOfDomain(t *testing.T) {
 		{"straggler:node=-1,factor=2", "negative node"},
 		{"straggler:extra=-5ms", "negative extra detour"},
 		{"straggler:factor=2,start=-3", "negative start step"},
+		// NaN compares false with every bound; each float is checked.
+		{"offload:prob=NaN", "outside [0, 1]"},
+		{"link:loss=nan", "outside [0, 1)"},
+		{"nodefail:prob=NaN", "outside [0, 1]"},
+		{"straggler:factor=NaN", "must be 0 (unset) or >= 1"},
+		{"storm:cv=NaN", "negative CV"},
+		{"storm:offload=NaN", "negative offload factor"},
 	}
 	for _, c := range cases {
 		if _, err := ParsePlan(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
