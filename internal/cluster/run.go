@@ -282,21 +282,7 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 					continue
 				}
 				sizeBefore := h.Size()
-				var cost sim.Duration
-				var work mem.Work
-				for _, delta := range heapOps {
-					cost += brkTime
-					if _, w, err := h.Sbrk(delta); err == nil {
-						work.Accumulate(w)
-					}
-					if delta > 0 {
-						// The application uses what it just
-						// allocated before the next call —
-						// first touch happens here.
-						work.Accumulate(h.TouchUpTo(h.Size()))
-					}
-				}
-				cost += costs.WorkTime(work)
+				cost, work := replayHeapStep(h, heapOps, brkTime, costs)
 				if cost > heapMax {
 					heapMax = cost
 				}
@@ -562,10 +548,29 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 	}, nil
 }
 
+// replayHeapStep replays one timestep's brk trace on a rank's heap engine.
+// Every call costs brkTime, and the application uses what each growth
+// returned before the next call, so first touch happens there. It returns
+// the step's heap time and the mechanical work behind it.
+func replayHeapStep(h mem.Heap, ops []int64, brkTime sim.Duration, costs kernel.Costs) (sim.Duration, mem.Work) {
+	var cost sim.Duration
+	var work mem.Work
+	for _, delta := range ops {
+		cost += brkTime
+		if _, w, err := h.Sbrk(delta); err == nil {
+			work.Accumulate(w)
+		}
+		if delta > 0 {
+			work.Accumulate(h.TouchUpTo(h.Size()))
+		}
+	}
+	return cost + costs.WorkTime(work), work
+}
+
 func mcdramResidency(ns *nodeState) int64 {
 	var total int64
 	for _, rs := range ns.ranks {
-		total += rs.as.BytesByKind()[hw.MCDRAM]
+		total += rs.as.BytesOfKind(hw.MCDRAM)
 	}
 	return total
 }

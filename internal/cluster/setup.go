@@ -193,6 +193,9 @@ func setupNode(k kernel.Kernel, j Job) (*nodeState, error) {
 	mcAll, ddrAll := node.DomainsOfKind(hw.MCDRAM), node.DomainsOfKind(hw.DDR4)
 	var quads [4]*placement
 	states := make([]rankState, app.RanksPerNode)
+	// Every rank's address space, with its inline setup VMAs and VMA
+	// index, comes from this one array.
+	spaces := mem.NewAddrSpaces(k.Phys(), app.RanksPerNode)
 
 	for r := range states {
 		quad := r * 4 / app.RanksPerNode
@@ -201,7 +204,7 @@ func setupNode(k kernel.Kernel, j Job) (*nodeState, error) {
 		}
 		pl := quads[quad]
 		rs := &states[r]
-		*rs = rankState{id: r, homeQuad: quad, as: mem.NewAddrSpace(k.Phys())}
+		*rs = rankState{id: r, homeQuad: quad, as: &spaces[r]}
 		// Attach the run's sink before any mapping so placement, fault
 		// and heap counters cover the whole setup.
 		rs.as.SetSink(j.Sink)

@@ -30,13 +30,15 @@ func setupJob(kt kernel.Type) Job {
 }
 
 // maxSetupAllocs is the allocation budget of one setupJob setupNode per
-// kernel: the VMAs, backings, heaps and per-rank state the model keeps,
-// plus one placement per quadrant. Measured; a change that raises it is a
-// regression to justify, one that lowers it should lower these too.
+// kernel: one batch of address spaces (with their inline VMAs, indexes and
+// first backings), the heaps, spilled demand backings and per-rank state
+// the model keeps, plus one placement per quadrant. Measured; a change that
+// raises it is a regression to justify, one that lowers it should lower
+// these too.
 var maxSetupAllocs = map[kernel.Type]float64{
-	kernel.TypeLinux:    1051,
-	kernel.TypeMcKernel: 990,
-	kernel.TypeMOS:      835,
+	kernel.TypeLinux:    221,
+	kernel.TypeMcKernel: 191,
+	kernel.TypeMOS:      112,
 }
 
 // bootN boots n fresh kernels for j, so that a measured loop can lay a job
@@ -254,6 +256,34 @@ func BenchmarkBootKernel(b *testing.B) {
 				if _, err := bootKernel(j); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkHeapReplayStep replays one steady-state timestep of the Lulesh
+// brk trace on one rank's heap: the Linux engine faults its regrowth anew
+// every step, the LWK engines serve it from their over-reserved heap. The
+// node is set up and the heap warmed by a few steps outside the timer.
+func BenchmarkHeapReplayStep(b *testing.B) {
+	for _, sk := range setupKernels {
+		b.Run(sk.name, func(b *testing.B) {
+			j := Job{App: apps.Lulesh(), Kernel: sk.typ, Nodes: 64, Seed: 1}.normalized()
+			k := bootN(b, j, 1)[0]
+			ns, err := setupNode(k, j)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ops := j.App.HeapOpsPerStep(j.Nodes)
+			brk, costs := k.SyscallTime(kernel.SysBrk), k.Costs()
+			h := ns.heaps[1]
+			for range 4 {
+				replayHeapStep(h, ops, brk, costs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				replayHeapStep(h, ops, brk, costs)
 			}
 		})
 	}

@@ -76,7 +76,7 @@ func (j *Job) TotalSyscallTime() float64 {
 func (j *Job) MCDRAMResident() int64 {
 	var total int64
 	for _, r := range j.ranks {
-		total += r.Proc.AS.BytesByKind()[hw.MCDRAM]
+		total += r.Proc.AS.BytesOfKind(hw.MCDRAM)
 	}
 	return total
 }

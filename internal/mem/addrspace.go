@@ -75,7 +75,19 @@ type Backing struct {
 	Page hw.PageSize
 }
 
-// VMA is one virtual memory area of an address space.
+// inlineBackings is how many backing extents a VMA stores inline: enough
+// for every upfront LWK working set (one or two extents) and every MPI shm
+// window (one).
+const inlineBackings = 2
+
+// spillBackings is the capacity a VMA's backings take when they first
+// outgrow the inline storage. A demand-paged working set gains about one
+// extent per first-touch round (demandRounds in internal/cluster), so
+// reserving for that once beats doubling up from the inline two.
+const spillBackings = 16
+
+// VMA is one virtual memory area of an address space. A VMA must not be
+// copied: its Backings may point into the VMA's own inline storage.
 type VMA struct {
 	Start int64
 	Size  int64
@@ -90,6 +102,20 @@ type VMA struct {
 	// DemandActive reports that the area is being demand-paged (either
 	// by policy or after a fallback).
 	DemandActive bool
+
+	// backing is the inline storage Backings starts on.
+	backing [inlineBackings]Backing
+}
+
+// addBacking appends b to v's backings. Outgrowing the inline storage
+// reserves spillBackings entries at once.
+func (v *VMA) addBacking(b Backing) {
+	if n := len(v.Backings); n == cap(v.Backings) && n < spillBackings {
+		grown := make([]Backing, n, spillBackings)
+		copy(grown, v.Backings)
+		v.Backings = grown
+	}
+	v.Backings = append(v.Backings, b)
 }
 
 // End returns the first address after the area.
@@ -112,17 +138,32 @@ type TouchResult struct {
 	BytesPopulated int64
 }
 
+// inlineVMAs is how many areas an address space stores inline: a rank's
+// setup image maps exactly three (working set, heap and MPI shm window).
+const inlineVMAs = 3
+
 // AddrSpace is a process virtual address space. All physical backing comes
 // from the node's shared Phys allocator, so address spaces on the same node
 // compete for MCDRAM exactly as the paper describes.
+//
+// The first inlineVMAs areas and the sorted index over them live inside
+// the AddrSpace itself; later areas (a fourth Map, a split) go to the heap.
+// An initialised AddrSpace must therefore not be copied: the copy would
+// share the original's index and hand out pointers into the original's
+// areas. Mapping through a copy, or through a zero AddrSpace, panics while
+// inline slots remain.
 type AddrSpace struct {
 	phys *Phys
-	vmas []*VMA // sorted by Start
-	next int64  // bump pointer for new mappings
+	// vmas is sorted by Start. It is a window on index until a fourth
+	// live area spills it to the heap, which needs every inline slot used.
+	vmas []*VMA
+	next int64 // bump pointer for new mappings
 	sink *trace.Sink
-	// scratch is the reused extent buffer AllocUpTo appends into while
-	// populating; its extents are copied into VMA backings at once.
-	scratch []Extent
+	// used counts the inline slots handed out. A slot is never reused:
+	// a caller may still hold a pointer to an unmapped area.
+	used   int
+	inline [inlineVMAs]VMA
+	index  [inlineVMAs]*VMA
 
 	// TotalFaults counts demand faults across the whole space.
 	TotalFaults int64
@@ -132,9 +173,36 @@ type AddrSpace struct {
 // size can be used without extra alignment work.
 const mapBase = int64(1) << 40
 
+// NewAddrSpaces returns n empty address spaces drawing from phys, laid out
+// in one array: a node's ranks get their spaces, setup VMAs and VMA indexes
+// from a single allocation. Use the elements in place (&spaces[i]); they
+// must not be copied.
+func NewAddrSpaces(phys *Phys, n int) []AddrSpace {
+	spaces := make([]AddrSpace, n)
+	for i := range spaces {
+		as := &spaces[i]
+		as.phys, as.next = phys, mapBase
+		as.vmas = as.index[:0]
+	}
+	return spaces
+}
+
 // NewAddrSpace returns an empty address space drawing from phys.
-func NewAddrSpace(phys *Phys) *AddrSpace {
-	return &AddrSpace{phys: phys, next: mapBase}
+func NewAddrSpace(phys *Phys) *AddrSpace { return &NewAddrSpaces(phys, 1)[0] }
+
+// newVMA returns a zeroed area: the next inline slot while any is left,
+// else a heap one.
+func (as *AddrSpace) newVMA() *VMA {
+	if as.used < len(as.inline) {
+		// While slots remain vmas is still a window on this space's
+		// own index; a copy's is the original's, a zero space's nil.
+		if cap(as.vmas) == 0 || &as.vmas[:1][0] != &as.index[0] {
+			panic("mem: AddrSpace copied or not built by NewAddrSpace(s)")
+		}
+		as.used++
+		return &as.inline[as.used-1]
+	}
+	return new(VMA)
 }
 
 // Phys returns the node allocator the space draws from.
@@ -217,7 +285,9 @@ func (as *AddrSpace) Map(size int64, kind VMAKind, pol Policy) (*VMA, error) {
 		return nil, fmt.Errorf("mem: Map with invalid MaxPage %d", pol.MaxPage)
 	}
 	size = roundUp(size, int64(hw.Page4K))
-	v := &VMA{Start: as.next, Size: size, Kind: kind, Pol: pol, Prot: ProtRead | ProtWrite}
+	v := as.newVMA()
+	*v = VMA{Start: as.next, Size: size, Kind: kind, Pol: pol, Prot: ProtRead | ProtWrite}
+	v.Backings = v.backing[:0]
 	as.next = roundUp(as.next+size, int64(hw.Page1G))
 
 	if pol.Demand {
@@ -265,7 +335,7 @@ func (as *AddrSpace) releaseBackings(v *VMA) {
 	for _, b := range v.Backings {
 		as.phys.Free(b.Ext)
 	}
-	v.Backings = nil
+	v.Backings = v.backing[:0]
 	v.Populated = 0
 }
 
@@ -297,10 +367,9 @@ func (as *AddrSpace) populate(v *VMA, want int64) int64 {
 					continue
 				}
 			}
-			var n int64
-			as.scratch, n = as.phys.AllocUpTo(as.scratch[:0], dom, need, int64(p))
-			for _, e := range as.scratch {
-				v.Backings = append(v.Backings, Backing{Ext: e, Page: p})
+			exts, n := as.phys.allocScratch(dom, need, int64(p))
+			for _, e := range exts {
+				v.addBacking(Backing{Ext: e, Page: p})
 			}
 			if counting {
 				as.notePlacement(v.Pol, dom, n)
@@ -426,11 +495,10 @@ func (as *AddrSpace) demandPopulate(v *VMA, end int64, maxPage hw.PageSize, faul
 				}
 				pages = 1 // final partial page
 			}
-			var n int64
-			as.scratch, n = as.phys.AllocUpTo(as.scratch[:0], dom, pages*granule, granule)
+			exts, n := as.phys.allocScratch(dom, pages*granule, granule)
 			var faults int64
-			for _, e := range as.scratch {
-				v.Backings = append(v.Backings, Backing{Ext: e, Page: p})
+			for _, e := range exts {
+				v.addBacking(Backing{Ext: e, Page: p})
 				faults += e.Size / granule
 			}
 			res.Faults += faults
@@ -474,19 +542,34 @@ func (as *AddrSpace) PageMix() map[MixKey]float64 {
 	return out
 }
 
-// BytesByKind returns populated bytes per memory kind.
+// BytesByKind returns populated bytes per memory kind, with an entry for
+// every kind that holds any.
 func (as *AddrSpace) BytesByKind() map[hw.MemKind]int64 {
 	out := map[hw.MemKind]int64{}
-	for _, v := range as.vmas {
-		for _, b := range v.Backings {
-			out[as.kindOfDomain(b.Ext.Domain)] += b.Ext.Size
+	for kind := range hw.MemKind(hw.NumMemKinds) {
+		if n := as.BytesOfKind(kind); n > 0 {
+			out[kind] = n
 		}
 	}
 	return out
 }
 
+// BytesOfKind returns the populated bytes in memory of the given kind,
+// without building BytesByKind's map.
+func (as *AddrSpace) BytesOfKind(kind hw.MemKind) int64 {
+	var n int64
+	for _, v := range as.vmas {
+		for _, b := range v.Backings {
+			if as.kindOfDomain(b.Ext.Domain) == kind {
+				n += b.Ext.Size
+			}
+		}
+	}
+	return n
+}
+
 func (as *AddrSpace) kindOfDomain(id int) hw.MemKind {
-	if d, ok := as.phys.domains[id]; ok {
+	if d := as.phys.lookup(id); d != nil {
 		return d.kind
 	}
 	return hw.DDR4
@@ -497,7 +580,10 @@ func (as *AddrSpace) ReleaseAll() {
 	for _, v := range as.vmas {
 		as.releaseBackings(v)
 	}
-	as.vmas = nil
+	// Truncate in place: newVMA checks that vmas is still a window on
+	// the index while inline slots remain.
+	clear(as.vmas)
+	as.vmas = as.vmas[:0]
 }
 
 // pageSizesDescending lists supported page sizes from max down to 4 KiB.

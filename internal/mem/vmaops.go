@@ -112,7 +112,8 @@ func (as *AddrSpace) splitAt(v *VMA, offset int64) (*VMA, error) {
 	if offset <= 0 || offset >= v.Size {
 		return nil, fmt.Errorf("mem: splitAt(%d) outside area of %d bytes", offset, v.Size)
 	}
-	right := &VMA{
+	right := as.newVMA()
+	*right = VMA{
 		Start:        v.Start + offset,
 		Size:         v.Size - offset,
 		Kind:         v.Kind,
@@ -120,16 +121,20 @@ func (as *AddrSpace) splitAt(v *VMA, offset int64) (*VMA, error) {
 		Prot:         v.Prot,
 		DemandActive: v.DemandActive,
 	}
+	right.Backings = right.backing[:0]
 	// Divide backings at the offset; backings are ordered by population
-	// sequence, which proceeds from the base of the area.
-	var cum int64
-	var leftBackings, rightBackings []Backing
+	// sequence, which proceeds from the base of the area. The left part
+	// is compacted in place: it never gains more entries than it has read.
+	var cum, leftPop, rightPop int64
+	left := v.Backings[:0]
 	for _, b := range v.Backings {
 		switch {
 		case cum+b.Ext.Size <= offset:
-			leftBackings = append(leftBackings, b)
+			left = append(left, b)
+			leftPop += b.Ext.Size
 		case cum >= offset:
-			rightBackings = append(rightBackings, b)
+			right.addBacking(b)
+			rightPop += b.Ext.Size
 		default:
 			// The boundary falls inside this extent: split it at
 			// page granularity of the extent's page size if
@@ -141,30 +146,24 @@ func (as *AddrSpace) splitAt(v *VMA, offset int64) (*VMA, error) {
 			}
 			cut = cut / granule * granule
 			if cut > 0 {
-				leftBackings = append(leftBackings, Backing{
+				left = append(left, Backing{
 					Ext:  Extent{Domain: b.Ext.Domain, Start: b.Ext.Start, Size: cut},
 					Page: pageFor(granule),
 				})
+				leftPop += cut
 			}
 			if rest := b.Ext.Size - cut; rest > 0 {
-				rightBackings = append(rightBackings, Backing{
+				right.addBacking(Backing{
 					Ext:  Extent{Domain: b.Ext.Domain, Start: b.Ext.Start + cut, Size: rest},
 					Page: pageFor(granule),
 				})
+				rightPop += rest
 			}
 		}
 		cum += b.Ext.Size
 	}
 	v.Size = offset
-	v.Backings = leftBackings
-	right.Backings = rightBackings
-	var leftPop, rightPop int64
-	for _, b := range leftBackings {
-		leftPop += b.Ext.Size
-	}
-	for _, b := range rightBackings {
-		rightPop += b.Ext.Size
-	}
+	v.Backings = left
 	v.Populated = leftPop
 	right.Populated = rightPop
 	as.insert(right)
@@ -206,15 +205,14 @@ func (as *AddrSpace) Migrate(v *VMA, domains []int) (Work, error) {
 		// the page granularity where the targets allow it.
 		moved := false
 		for _, d := range domains {
-			var got int64
-			as.scratch, got = as.phys.AllocUpTo(as.scratch[:0], d, b.Ext.Size, int64(b.Page))
+			exts, got := as.phys.allocScratch(d, b.Ext.Size, int64(b.Page))
 			if got < b.Ext.Size {
 				// Partial: roll back this attempt and try the
 				// next domain at the same granularity.
-				as.phys.FreeAll(as.scratch)
+				as.phys.FreeAll(exts)
 				continue
 			}
-			for _, e := range as.scratch {
+			for _, e := range exts {
 				kept = append(kept, Backing{Ext: e, Page: b.Page})
 			}
 			as.phys.Free(b.Ext)
@@ -271,8 +269,12 @@ func (as *AddrSpace) Remap(v *VMA, newSize int64) (Work, error) {
 		}
 		v.Size = newSize
 		if !v.DemandActive {
-			got := as.populate(v, grow)
-			if got < grow {
+			// A sub-page shrink leaves its straddling large page
+			// backed (Trim keeps it), so Populated may already
+			// cover part or all of the growth: back only the rest.
+			want := min(grow, newSize-v.Populated)
+			got := as.populate(v, want)
+			if got < want {
 				if !v.Pol.FallbackDemand {
 					// Roll back the growth.
 					as.Trim(v, newSize-grow)

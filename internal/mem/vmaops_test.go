@@ -345,3 +345,48 @@ func TestRemapCollision(t *testing.T) {
 		t.Fatal("failed remap changed the size")
 	}
 }
+
+// TestRemapRegrowAfterSubPageShrink shrinks an upfront 2 MiB-page area by
+// less than a page, which keeps the straddling page backed, then grows it
+// back: the regrowth must reuse that page instead of backing the growth a
+// second time.
+func TestRemapRegrowAfterSubPageShrink(t *testing.T) {
+	phys := newKNLPhys()
+	as := NewAddrSpace(phys)
+	v, err := as.Map(4*hw.MiB, VMAAnon, Policy{Domains: []int{0}, MaxPage: hw.Page2M})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := as.Remap(v, 3*hw.MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.FreedBytes != 0 || v.Populated != 4*hw.MiB || phys.UsedBytes(0) != 4*hw.MiB {
+		t.Fatalf("sub-page shrink: freed %d, populated %d, used %d; want the straddling page kept",
+			w.FreedBytes, v.Populated, phys.UsedBytes(0))
+	}
+	w, err = as.Remap(v, 4*hw.MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.AllocatedBytes != 0 || v.Size != 4*hw.MiB || v.Populated != 4*hw.MiB || phys.UsedBytes(0) != 4*hw.MiB {
+		t.Fatalf("regrow into the kept page: allocated %d, size %d, populated %d, used %d; want 0, 4 MiB, 4 MiB, 4 MiB",
+			w.AllocatedBytes, v.Size, v.Populated, phys.UsedBytes(0))
+	}
+	// Growing past the kept page backs only the bytes beyond it.
+	w, err = as.Remap(v, 3*hw.MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err = as.Remap(v, 6*hw.MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.AllocatedBytes != 2*hw.MiB || v.Populated != 6*hw.MiB || phys.UsedBytes(0) != 6*hw.MiB {
+		t.Fatalf("regrow past the kept page: allocated %d, populated %d, used %d; want 2, 6, 6 MiB",
+			w.AllocatedBytes, v.Populated, phys.UsedBytes(0))
+	}
+	if err := phys.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

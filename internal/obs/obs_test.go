@@ -217,7 +217,8 @@ func TestParseSLO(t *testing.T) {
 }
 
 func TestParseSLOErrors(t *testing.T) {
-	for _, spec := range []string{"", ";;", "wait_p99_sec=2", "<=5", "x<=notanumber"} {
+	for _, spec := range []string{"", ";;", "wait_p99_sec=2", "<=5", "x<=notanumber",
+		"wait_p99_sec<=NaN", "x>=nan", "a>=b<=1"} {
 		if _, err := ParseSLO(spec); err == nil {
 			t.Errorf("ParseSLO(%q) accepted a bad spec", spec)
 		}

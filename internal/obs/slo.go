@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -15,7 +16,8 @@ import (
 //
 // Metric names come from the run's metric-value map (fleet publishes its
 // summary metrics there — see fleet.Result.SLO); thresholds are float64
-// literals. Evaluation is strict: a rule naming a metric the run did not
+// literals other than NaN, and a metric name may not contain an operator.
+// Evaluation is strict: a rule naming a metric the run did not
 // publish is an error, not a silent pass, so a typo cannot masquerade as a
 // green watchdog.
 
@@ -60,9 +62,18 @@ func ParseSLO(spec string) (*SLO, error) {
 		if metric == "" {
 			return nil, fmt.Errorf("obs: SLO rule %q: empty metric name", part)
 		}
+		if strings.Contains(metric, OpLE) || strings.Contains(metric, OpGE) {
+			// "a>=b<=1" would otherwise name the metric "a>=b".
+			return nil, fmt.Errorf("obs: SLO rule %q: metric name %q contains an operator", part, metric)
+		}
 		threshold, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
 		if err != nil {
 			return nil, fmt.Errorf("obs: SLO rule %q: bad threshold: %w", part, err)
+		}
+		if math.IsNaN(threshold) {
+			// Every comparison with NaN is false: the rule could
+			// never pass.
+			return nil, fmt.Errorf("obs: SLO rule %q: threshold is NaN", part)
 		}
 		s.Rules = append(s.Rules, SLORule{Metric: metric, Op: op, Threshold: threshold})
 	}
