@@ -1,20 +1,21 @@
 // Command mkbench judges wall-clock benchmark artifacts. It is the CI
-// bench-regression gate: the bench smoke tests emit BENCH_PR4.json
+// bench-regression gate: the bench ledger emits BENCH.json
 // ("mklite-bench/v1", best-of-N seconds per mode with rep count and
 // spread), and mkbench compares a fresh measurement against the
-// checked-in baseline with tolerance bands widened by both runs'
-// recorded spreads — scheduler noise is not a regression.
+// checked-in baseline with benchfmt's one judgment band — a mode fails
+// when it more than doubles beyond both runs' recorded spreads, an
+// overhead percentage when it grows by more than 10 points, a speedup
+// when it halves.
 //
 // Usage:
 //
-//	mkbench compare baseline.json current.json
-//	mkbench compare -tol 25 -tolpp 5 baseline.json current.json
-//	mkbench compare -budget counters_overhead_percent=5 baseline.json current.json
-//	mkbench show BENCH_PR4.json
+//	mkbench compare [-budget name=max]... baseline.json current.json
+//	mkbench show BENCH.json
+//	mkbench trend BENCH_PR2.json BENCH_PR3.json ... BENCH.json
 //
-// compare exits 1 when a mode slowed beyond its band, a derived
-// "*_percent" overhead grew beyond -tolpp percentage points, a speedup
-// shrank beyond -tol percent, or a -budget ceiling is exceeded.
+// compare exits 1 on a regression or when a -budget ceiling on a derived
+// metric of the current file is exceeded. trend renders the history,
+// oldest first, and flags its regression steps without failing.
 package main
 
 import (
@@ -32,13 +33,21 @@ func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
+	args := os.Args[2:]
 	switch os.Args[1] {
 	case "compare":
-		compare(os.Args[2:])
+		compare(args)
 	case "show":
-		show(os.Args[2:])
+		if len(args) != 1 {
+			fatal(fmt.Errorf("show needs exactly one file, got %d args", len(args)))
+		}
+		f := read(args[0], benchfmt.Read)
+		// A self-comparison renders every row with zero deltas — one table
+		// formatter for both subcommands.
+		fmt.Printf("%s: %s, GOMAXPROCS=%d\n", args[0], f.Figure, f.Maxprocs)
+		fmt.Print(benchfmt.Compare(f, f).Report)
 	case "trend":
-		trend(os.Args[2:])
+		trend(args)
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
@@ -49,9 +58,9 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  mkbench compare [-tol pct] [-tolpp points] [-budget name=max]... baseline.json current.json
+  mkbench compare [-budget name=max]... baseline.json current.json
   mkbench show file.json
-  mkbench trend [-tol pct] [-tolpp points] [-fail] BENCH_PR2.json BENCH_PR3.json ...
+  mkbench trend BENCH_PR2.json BENCH_PR3.json ... BENCH.json
 `)
 	os.Exit(2)
 }
@@ -82,18 +91,16 @@ func (bs *budgets) Set(v string) error {
 
 func compare(args []string) {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	tol := fs.Float64("tol", 25, "relative tolerance in percent for mode seconds and speedups (widened per mode by both runs' recorded spreads)")
-	tolPP := fs.Float64("tolpp", 5, "tolerance in percentage points for derived *_percent metrics")
 	var buds budgets
 	fs.Var(&buds, "budget", "absolute ceiling on a derived metric of the current file, name=max (repeatable)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		fatal(fmt.Errorf("compare needs a baseline and a current file, got %d args", fs.NArg()))
 	}
-	oldF, newF := read(fs.Arg(0)), read(fs.Arg(1))
+	oldF, newF := read(fs.Arg(0), benchfmt.Read), read(fs.Arg(1), benchfmt.Read)
 
-	res := benchfmt.Compare(oldF, newF, *tol, *tolPP)
-	fmt.Printf("mkbench compare: %s vs %s (tol %.0f%%, %.0fpp)\n", fs.Arg(0), fs.Arg(1), *tol, *tolPP)
+	res := benchfmt.Compare(oldF, newF)
+	fmt.Printf("mkbench compare: %s vs %s (tol %d%%, %dpp)\n", fs.Arg(0), fs.Arg(1), benchfmt.TolPercent, benchfmt.TolPoints)
 	fmt.Print(res.Report)
 
 	failures := res.Regressions
@@ -112,66 +119,40 @@ func compare(args []string) {
 	fmt.Println("\nPASS: no regressions beyond tolerance")
 }
 
-func show(args []string) {
-	fs := flag.NewFlagSet("show", flag.ExitOnError)
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fatal(fmt.Errorf("show needs exactly one file, got %d args", fs.NArg()))
-	}
-	f := read(fs.Arg(0))
-	// A self-comparison renders every row with zero deltas — one table
-	// formatter for both subcommands.
-	fmt.Printf("%s: %s, GOMAXPROCS=%d\n", fs.Arg(0), f.Figure, f.Maxprocs)
-	fmt.Print(benchfmt.Compare(f, f, 100, 100).Report)
-}
-
-// trend renders the cross-PR perf trajectory from the checked-in BENCH_*
-// files, oldest first, flagging steps that regress beyond their spread-aware
-// band. Legacy pre-schema files (BENCH_PR2/PR3) are accepted via the lenient
-// reader. History is informational by default — pass -fail to gate on it.
+// trend renders the cross-PR perf trajectory from the given files in the
+// order given (oldest first), flagging steps that regress beyond their
+// band. Legacy pre-schema files (BENCH_PR2/PR3) are accepted via the
+// lenient reader. History is informational: trend never fails on it.
 func trend(args []string) {
-	fs := flag.NewFlagSet("trend", flag.ExitOnError)
-	tol := fs.Float64("tol", 25, "relative tolerance in percent for mode seconds and speedups (widened per step by both points' recorded spreads)")
-	tolPP := fs.Float64("tolpp", 5, "tolerance in percentage points for derived *_percent metrics")
-	failFlag := fs.Bool("fail", false, "exit 1 when any step in the history regresses beyond its band")
-	fs.Parse(args)
-	if fs.NArg() < 1 {
+	if len(args) < 1 {
 		fatal(fmt.Errorf("trend needs at least one benchmark file"))
 	}
-	entries := make([]benchfmt.TrendEntry, 0, fs.NArg())
-	for _, path := range fs.Args() {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fatal(err)
-		}
-		f, err := benchfmt.ReadLenient(data)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		entries = append(entries, benchfmt.TrendEntry{Label: strings.TrimSuffix(filepath.Base(path), ".json"), File: f})
+	entries := make([]benchfmt.TrendEntry, 0, len(args))
+	for _, path := range args {
+		entries = append(entries, benchfmt.TrendEntry{
+			Label: strings.TrimSuffix(filepath.Base(path), ".json"),
+			File:  read(path, benchfmt.ReadLenient),
+		})
 	}
-	res := benchfmt.Trend(entries, *tol, *tolPP)
-	fmt.Printf("mkbench trend: %d files (tol %.0f%%, %.0fpp)\n", len(entries), *tol, *tolPP)
+	res := benchfmt.Trend(entries)
+	fmt.Printf("mkbench trend: %d files (tol %d%%, %dpp)\n", len(entries), benchfmt.TolPercent, benchfmt.TolPoints)
 	fmt.Print(res.Report)
 	if len(res.Regressions) > 0 {
 		fmt.Printf("\n%d regression step(s) in the history:\n", len(res.Regressions))
 		for _, r := range res.Regressions {
 			fmt.Println("  " + r)
 		}
-		if *failFlag {
-			os.Exit(1)
-		}
 		return
 	}
 	fmt.Println("\nno regressions beyond tolerance across the history")
 }
 
-func read(path string) *benchfmt.File {
+func read(path string, parse func([]byte) (*benchfmt.File, error)) *benchfmt.File {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
 	}
-	f, err := benchfmt.Read(data)
+	f, err := parse(data)
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", path, err))
 	}

@@ -1,6 +1,6 @@
 // Package benchfmt defines the schema-versioned wall-clock benchmark
-// artifact ("mklite-bench/v1") that the repo's bench smoke tests emit
-// (BENCH_PR4.json) and that cmd/mkbench compares against a checked-in
+// artifact ("mklite-bench/v1") that the repo's bench ledger emits
+// (BENCH.json) and that cmd/mkbench compares against a checked-in
 // baseline. Wall-clock numbers are the one non-deterministic output the
 // repo produces, so every mode records the best-of-N seconds together
 // with the rep count and the spread across reps — a comparator that
@@ -16,8 +16,8 @@ import (
 	"strings"
 )
 
-// Schema versions the benchmark file format. Compare refuses to mix
-// schemas: a tolerance judgment across formats is meaningless.
+// Schema versions the benchmark file format. Read refuses other schemas:
+// a tolerance judgment across formats is meaningless.
 const Schema = "mklite-bench/v1"
 
 // Mode is one measured configuration (e.g. "sequential", "trace-counters").
@@ -70,6 +70,60 @@ func Read(data []byte) (*File, error) {
 	return &f, nil
 }
 
+// The one judgment band every comparison applies. Absolute seconds are
+// machine-dependent, so a mode fails only when it slows by more than
+// TolPercent (it doubles) plus both sides' recorded spreads — noise cannot
+// prove a regression. Derived "*_percent" overheads are within-machine
+// ratios and fail when they grow by more than TolPoints percentage points.
+// Other derived metrics are speedups, judged like seconds: they fail when
+// the old value exceeds the new one by more than TolPercent (the speedup
+// halved).
+const (
+	TolPercent = 100
+	TolPoints  = 10
+)
+
+// modeStep judges one mode's step from o to n: the delta in percent, the
+// spread-widened band, and whether the delta left it.
+func modeStep(o, n Mode) (delta, band float64, regressed bool) {
+	delta = (n.Seconds - o.Seconds) / o.Seconds * 100
+	band = TolPercent + o.SpreadPercent + n.SpreadPercent
+	return delta, band, delta > band
+}
+
+// derivedStep judges one derived metric's step from o to n, returning why
+// it regressed or "".
+func derivedStep(name string, o, n float64) string {
+	if strings.HasSuffix(name, "_percent") {
+		if n-o > TolPoints {
+			return fmt.Sprintf("+%.1fpp > %dpp", n-o, TolPoints)
+		}
+		return ""
+	}
+	if o <= 0 {
+		return ""
+	}
+	slower := math.Inf(1)
+	if n > 0 {
+		slower = (o/n - 1) * 100
+	}
+	if slower > TolPercent {
+		return fmt.Sprintf("%.1f%% slower > %d%%", slower, TolPercent)
+	}
+	return ""
+}
+
+// keys returns the sorted union of the maps' keys.
+func keys[V any](ms ...map[string]V) []string {
+	u := map[string]bool{}
+	for _, m := range ms {
+		for k := range m {
+			u[k] = true
+		}
+	}
+	return slices.Sorted(maps.Keys(u))
+}
+
 // Result is the outcome of a comparison: a rendered report plus the list
 // of regressions that exceeded their tolerance band.
 type Result struct {
@@ -80,14 +134,10 @@ type Result struct {
 // OK reports whether the comparison found no out-of-band regressions.
 func (r *Result) OK() bool { return len(r.Regressions) == 0 }
 
-// Compare judges new against old, benchstat-style. A mode regresses when
-// its best-of-N seconds grew by more than the tolerance band, where the
-// band is tolPercent widened by both runs' recorded spreads (noise cannot
-// prove a regression). A derived "*_percent" metric regresses when it
-// grew by more than tolPoints percentage points; other derived metrics
-// (speedups) regress when they shrank by more than tolPercent percent.
-// Metrics present on only one side are reported but never fail the gate.
-func Compare(old, new *File, tolPercent, tolPoints float64) *Result {
+// Compare judges new against old, benchstat-style, by the one judgment
+// band above. Metrics present on only one side are reported but never fail
+// the gate.
+func Compare(old, new *File) *Result {
 	res := &Result{}
 	var b strings.Builder
 	if old.Figure != new.Figure {
@@ -98,49 +148,34 @@ func Compare(old, new *File, tolPercent, tolPoints float64) *Result {
 			old.Maxprocs, new.Maxprocs)
 	}
 
-	modeKeys := map[string]bool{}
-	for k := range old.Modes {
-		modeKeys[k] = true
-	}
-	for k := range new.Modes {
-		modeKeys[k] = true
-	}
-	if len(modeKeys) > 0 {
-		fmt.Fprintf(&b, "%-16s %12s %12s %10s %10s\n", "mode", "old s", "new s", "delta", "band")
-		for _, k := range slices.Sorted(maps.Keys(modeKeys)) {
+	if modes := keys(old.Modes, new.Modes); len(modes) > 0 {
+		fmt.Fprintf(&b, "%-18s %12s %12s %10s %10s\n", "mode", "old s", "new s", "delta", "band")
+		for _, k := range modes {
 			o, haveOld := old.Modes[k]
 			n, haveNew := new.Modes[k]
 			switch {
 			case !haveOld:
-				fmt.Fprintf(&b, "%-16s %12s %12.4f %10s %10s\n", k, "-", n.Seconds, "new", "-")
+				fmt.Fprintf(&b, "%-18s %12s %12.4f %10s %10s\n", k, "-", n.Seconds, "new", "-")
 			case !haveNew:
-				fmt.Fprintf(&b, "%-16s %12.4f %12s %10s %10s\n", k, o.Seconds, "-", "gone", "-")
+				fmt.Fprintf(&b, "%-18s %12.4f %12s %10s %10s\n", k, o.Seconds, "-", "gone", "-")
 			default:
-				delta := (n.Seconds - o.Seconds) / o.Seconds * 100
-				band := tolPercent + o.SpreadPercent + n.SpreadPercent
+				delta, band, regressed := modeStep(o, n)
 				verdict := ""
-				if delta > band {
+				if regressed {
 					verdict = "  REGRESSION"
 					res.Regressions = append(res.Regressions,
 						fmt.Sprintf("mode %s: %.4fs -> %.4fs (%+.1f%% > band %.1f%%)",
 							k, o.Seconds, n.Seconds, delta, band))
 				}
-				fmt.Fprintf(&b, "%-16s %12.4f %12.4f %+9.1f%% %9.1f%%%s\n",
+				fmt.Fprintf(&b, "%-18s %12.4f %12.4f %+9.1f%% %9.1f%%%s\n",
 					k, o.Seconds, n.Seconds, delta, band, verdict)
 			}
 		}
 	}
 
-	derivedKeys := map[string]bool{}
-	for k := range old.Derived {
-		derivedKeys[k] = true
-	}
-	for k := range new.Derived {
-		derivedKeys[k] = true
-	}
-	if len(derivedKeys) > 0 {
+	if derived := keys(old.Derived, new.Derived); len(derived) > 0 {
 		fmt.Fprintf(&b, "%-32s %12s %12s %10s\n", "derived", "old", "new", "delta")
-		for _, k := range slices.Sorted(maps.Keys(derivedKeys)) {
+		for _, k := range derived {
 			o, haveOld := old.Derived[k]
 			n, haveNew := new.Derived[k]
 			switch {
@@ -150,21 +185,10 @@ func Compare(old, new *File, tolPercent, tolPoints float64) *Result {
 				fmt.Fprintf(&b, "%-32s %12.3f %12s %10s\n", k, o, "-", "gone")
 			default:
 				verdict := ""
-				if strings.HasSuffix(k, "_percent") {
-					// Overhead percentages: higher is worse; judge the
-					// move in percentage points.
-					if n-o > tolPoints {
-						verdict = "  REGRESSION"
-						res.Regressions = append(res.Regressions,
-							fmt.Sprintf("derived %s: %.3f -> %.3f (+%.1fpp > %.1fpp)",
-								k, o, n, n-o, tolPoints))
-					}
-				} else if o > 0 && (o-n)/o*100 > tolPercent {
-					// Speedup-style metrics: lower is worse.
+				if why := derivedStep(k, o, n); why != "" {
 					verdict = "  REGRESSION"
 					res.Regressions = append(res.Regressions,
-						fmt.Sprintf("derived %s: %.3f -> %.3f (-%.1f%% > %.1f%%)",
-							k, o, n, (o-n)/o*100, tolPercent))
+						fmt.Sprintf("derived %s: %.3f -> %.3f (%s)", k, o, n, why))
 				}
 				fmt.Fprintf(&b, "%-32s %12.3f %12.3f %+10.3f%s\n", k, o, n, n-o, verdict)
 			}

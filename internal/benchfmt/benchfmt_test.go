@@ -52,11 +52,11 @@ func TestReadRejectsWrongSchema(t *testing.T) {
 
 func TestCompareWithinBand(t *testing.T) {
 	old, new := sample(), sample()
-	// 3% slower with 2+2.5% recorded spread and 5% tolerance: inside the band.
+	// 3% slower: inside the 100% band widened by 2+2.5% recorded spread.
 	m := new.Modes["sequential"]
 	m.Seconds = 0.412
 	new.Modes["sequential"] = m
-	res := Compare(old, new, 5, 2)
+	res := Compare(old, new)
 	if !res.OK() {
 		t.Fatalf("want clean comparison, got regressions %v\nreport:\n%s", res.Regressions, res.Report)
 	}
@@ -68,9 +68,9 @@ func TestCompareWithinBand(t *testing.T) {
 func TestCompareModeRegression(t *testing.T) {
 	old, new := sample(), sample()
 	m := new.Modes["sequential"]
-	m.Seconds = 0.60 // +50%: far outside any band
+	m.Seconds = 1.0 // +150%: outside the 104.5% band
 	new.Modes["sequential"] = m
-	res := Compare(old, new, 5, 2)
+	res := Compare(old, new)
 	if res.OK() {
 		t.Fatalf("want regression, report:\n%s", res.Report)
 	}
@@ -81,21 +81,21 @@ func TestCompareModeRegression(t *testing.T) {
 
 func TestCompareDerivedRegression(t *testing.T) {
 	old, new := sample(), sample()
-	new.Derived["counters_overhead_percent"] = 9 // +6.5pp > 2pp tolerance
-	res := Compare(old, new, 5, 2)
+	new.Derived["counters_overhead_percent"] = 15 // +12.5pp > 10pp tolerance
+	res := Compare(old, new)
 	if res.OK() {
 		t.Fatalf("want derived regression, report:\n%s", res.Report)
 	}
 	// Speedup direction: shrinking is the regression.
 	old, new = sample(), sample()
-	new.Derived["parallel_speedup"] = 1.0 // -52%
-	if res := Compare(old, new, 5, 2); res.OK() {
+	new.Derived["parallel_speedup"] = 1.0 // 2.1 -> 1.0: 110% slower
+	if res := Compare(old, new); res.OK() {
 		t.Fatalf("want speedup regression, report:\n%s", res.Report)
 	}
 	// A speedup that improves is fine.
 	old, new = sample(), sample()
 	new.Derived["parallel_speedup"] = 3.0
-	if res := Compare(old, new, 5, 2); !res.OK() {
+	if res := Compare(old, new); !res.OK() {
 		t.Fatalf("improvement flagged as regression: %v", res.Regressions)
 	}
 }
@@ -104,7 +104,7 @@ func TestCompareOneSidedMetrics(t *testing.T) {
 	old, new := sample(), sample()
 	delete(old.Modes, "trace-counters")
 	new.Derived["metrics_overhead_percent"] = 3
-	res := Compare(old, new, 5, 2)
+	res := Compare(old, new)
 	if !res.OK() {
 		t.Fatalf("one-sided entries must not fail the gate: %v", res.Regressions)
 	}

@@ -13,7 +13,7 @@ import (
 // PRs emitted (no "schema" field, a flat "wall_clock_seconds" map, and
 // derived scalars as loose top-level keys). Legacy modes carry no rep count
 // or spread — their spread reads as zero, so trend bands over them reduce to
-// the base tolerance. New code should emit via New/Marshal and read via
+// the bare TolPercent. New code should emit via New/Marshal and read via
 // Read; this reader exists so `mkbench trend` can walk the whole checked-in
 // BENCH_*.json history.
 func ReadLenient(data []byte) (*File, error) {
@@ -74,11 +74,10 @@ type TrendEntry struct {
 
 // Trend renders the per-mode and per-derived-metric trajectory across an
 // ordered artifact history (oldest first) and flags every step that
-// regresses beyond its spread-aware tolerance band — the same judgment rule
-// as Compare, applied between each metric's consecutive appearances. Modes
-// measured under different GOMAXPROCS are annotated but still compared:
-// the history is what it is.
-func Trend(entries []TrendEntry, tolPercent, tolPoints float64) *Result {
+// regresses — Compare's judgment rule, applied between each metric's
+// consecutive appearances. Modes measured under different GOMAXPROCS are
+// annotated but still compared: the history is what it is.
+func Trend(entries []TrendEntry) *Result {
 	res := &Result{}
 	var b strings.Builder
 	if len(entries) == 0 {
@@ -87,90 +86,69 @@ func Trend(entries []TrendEntry, tolPercent, tolPoints float64) *Result {
 	}
 
 	procs := map[int]bool{}
+	labelW := len("mode")
+	var modes []map[string]Mode
+	var derived []map[string]float64
 	for _, e := range entries {
 		procs[e.File.Maxprocs] = true
+		labelW = max(labelW, len(e.Label))
+		modes = append(modes, e.File.Modes)
+		derived = append(derived, e.File.Derived)
 	}
 	if len(procs) > 1 {
 		fmt.Fprintf(&b, "note: GOMAXPROCS varies across the history (%v); wall clocks are not comparable in general\n",
 			slices.Sorted(maps.Keys(procs)))
 	}
 
-	labelW := len("mode")
-	for _, e := range entries {
-		if len(e.Label) > labelW {
-			labelW = len(e.Label)
-		}
-	}
-
-	modeKeys := map[string]bool{}
-	derivedKeys := map[string]bool{}
-	for _, e := range entries {
-		for k := range e.File.Modes {
-			modeKeys[k] = true
-		}
-		for k := range e.File.Derived {
-			derivedKeys[k] = true
-		}
-	}
-
-	for _, k := range slices.Sorted(maps.Keys(modeKeys)) {
+	for _, k := range keys(modes...) {
 		fmt.Fprintf(&b, "mode %s:\n", k)
-		prev := Mode{}
-		havePrev := false
-		prevLabel := ""
-		for _, e := range entries {
+		var prev *TrendEntry
+		for i := range entries {
+			e := &entries[i]
 			m, ok := e.File.Modes[k]
 			if !ok {
 				continue
 			}
-			line := fmt.Sprintf("  %-*s %10.4fs", labelW, e.Label, m.Seconds)
+			fmt.Fprintf(&b, "  %-*s %10.4fs", labelW, e.Label, m.Seconds)
 			if m.SpreadPercent > 0 {
-				line += fmt.Sprintf(" (±%.1f%%)", m.SpreadPercent)
+				fmt.Fprintf(&b, " (±%.1f%%)", m.SpreadPercent)
 			}
-			if havePrev {
-				delta := (m.Seconds - prev.Seconds) / prev.Seconds * 100
-				band := tolPercent + prev.SpreadPercent + m.SpreadPercent
-				line += fmt.Sprintf("  %+.1f%%", delta)
-				if delta > band {
-					line += fmt.Sprintf("  REGRESSION (band %.1f%%)", band)
+			if prev != nil {
+				p := prev.File.Modes[k]
+				delta, band, regressed := modeStep(p, m)
+				fmt.Fprintf(&b, "  %+.1f%%", delta)
+				if regressed {
+					fmt.Fprintf(&b, "  REGRESSION (band %.1f%%)", band)
 					res.Regressions = append(res.Regressions,
 						fmt.Sprintf("mode %s: %s %.4fs -> %s %.4fs (%+.1f%% > band %.1f%%)",
-							k, prevLabel, prev.Seconds, e.Label, m.Seconds, delta, band))
+							k, prev.Label, p.Seconds, e.Label, m.Seconds, delta, band))
 				}
 			}
-			b.WriteString(line + "\n")
-			prev, havePrev, prevLabel = m, true, e.Label
+			b.WriteString("\n")
+			prev = e
 		}
 	}
 
-	for _, k := range slices.Sorted(maps.Keys(derivedKeys)) {
+	for _, k := range keys(derived...) {
 		fmt.Fprintf(&b, "derived %s:\n", k)
-		prev := 0.0
-		havePrev := false
-		prevLabel := ""
-		for _, e := range entries {
+		var prev *TrendEntry
+		for i := range entries {
+			e := &entries[i]
 			v, ok := e.File.Derived[k]
 			if !ok {
 				continue
 			}
-			line := fmt.Sprintf("  %-*s %12.3f", labelW, e.Label, v)
-			if havePrev {
-				if strings.HasSuffix(k, "_percent") {
-					if v-prev > tolPoints {
-						line += fmt.Sprintf("  REGRESSION (+%.1fpp > %.1fpp)", v-prev, tolPoints)
-						res.Regressions = append(res.Regressions,
-							fmt.Sprintf("derived %s: %s %.3f -> %s %.3f (+%.1fpp > %.1fpp)",
-								k, prevLabel, prev, e.Label, v, v-prev, tolPoints))
-					}
-				} else if prev > 0 && (prev-v)/prev*100 > tolPercent {
-					line += fmt.Sprintf("  REGRESSION (-%.1f%% > %.1f%%)", (prev-v)/prev*100, tolPercent)
+			fmt.Fprintf(&b, "  %-*s %12.3f", labelW, e.Label, v)
+			if prev != nil {
+				p := prev.File.Derived[k]
+				if why := derivedStep(k, p, v); why != "" {
+					fmt.Fprintf(&b, "  REGRESSION (%s)", why)
 					res.Regressions = append(res.Regressions,
-						fmt.Sprintf("derived %s: %s %.3f -> %s %.3f (-%.1f%% > %.1f%%)",
-							k, prevLabel, prev, e.Label, v, (prev-v)/prev*100, tolPercent))
+						fmt.Sprintf("derived %s: %s %.3f -> %s %.3f (%s)", k, prev.Label, p, e.Label, v, why))
 				}
 			}
-			b.WriteString(line + "\n")
-			prev, havePrev, prevLabel = v, true, e.Label
+			b.WriteString("\n")
+			prev = e
 		}
 	}
 

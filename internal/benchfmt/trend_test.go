@@ -69,9 +69,9 @@ func TestTrendFlagsRegression(t *testing.T) {
 	entries := []TrendEntry{
 		{Label: "PR2", File: trendFile("q", map[string]float64{"m": 1.0}, 2, nil)},
 		{Label: "PR3", File: trendFile("q", map[string]float64{"m": 1.05}, 2, nil)}, // +5% within band
-		{Label: "PR4", File: trendFile("q", map[string]float64{"m": 1.60}, 2, nil)}, // +52% beyond band
+		{Label: "PR4", File: trendFile("q", map[string]float64{"m": 2.20}, 2, nil)}, // +110% beyond the 104% band
 	}
-	res := Trend(entries, 10, 5)
+	res := Trend(entries)
 	if len(res.Regressions) != 1 {
 		t.Fatalf("regressions = %v, want exactly the PR3->PR4 step", res.Regressions)
 	}
@@ -84,19 +84,19 @@ func TestTrendFlagsRegression(t *testing.T) {
 }
 
 func TestTrendSpreadWidensBand(t *testing.T) {
-	// +30% step: beyond a bare 10% tolerance, inside 10% + 2x12% spread.
+	// +120% step: beyond the bare 100% tolerance, inside 100% + 2x12% spread.
 	noisy := []TrendEntry{
 		{Label: "a", File: trendFile("q", map[string]float64{"m": 1.0}, 12, nil)},
-		{Label: "b", File: trendFile("q", map[string]float64{"m": 1.3}, 12, nil)},
+		{Label: "b", File: trendFile("q", map[string]float64{"m": 2.2}, 12, nil)},
 	}
-	if res := Trend(noisy, 10, 5); len(res.Regressions) != 0 {
+	if res := Trend(noisy); len(res.Regressions) != 0 {
 		t.Fatalf("spread-widened band should absorb the step: %v", res.Regressions)
 	}
 	quiet := []TrendEntry{
 		{Label: "a", File: trendFile("q", map[string]float64{"m": 1.0}, 0, nil)},
-		{Label: "b", File: trendFile("q", map[string]float64{"m": 1.3}, 0, nil)},
+		{Label: "b", File: trendFile("q", map[string]float64{"m": 2.2}, 0, nil)},
 	}
-	if res := Trend(quiet, 10, 5); len(res.Regressions) != 1 {
+	if res := Trend(quiet); len(res.Regressions) != 1 {
 		t.Fatalf("zero-spread step should regress: %v", res.Regressions)
 	}
 }
@@ -105,11 +105,11 @@ func TestTrendSkipsMissingAndJudgesDerived(t *testing.T) {
 	entries := []TrendEntry{
 		{Label: "PR2", File: trendFile("q", map[string]float64{"m": 1.0}, 0, map[string]float64{"x_overhead_percent": 1, "speedup": 2.0})},
 		{Label: "PR3", File: trendFile("q", nil, 0, nil)}, // metric absent: no step judged
-		{Label: "PR4", File: trendFile("q", map[string]float64{"m": 1.01}, 0, map[string]float64{"x_overhead_percent": 9, "speedup": 0.5})},
+		{Label: "PR4", File: trendFile("q", map[string]float64{"m": 1.01}, 0, map[string]float64{"x_overhead_percent": 15, "speedup": 0.5})},
 	}
-	res := Trend(entries, 25, 5)
-	// The mode step PR2->PR4 is +1%: fine. Derived: overhead +8pp > 5pp and
-	// speedup -75% > 25% both regress.
+	res := Trend(entries)
+	// The mode step PR2->PR4 is +1%: fine. Derived: overhead +14pp > 10pp and
+	// speedup 2.0 -> 0.5 (300% slower > 100%) both regress.
 	if len(res.Regressions) != 2 {
 		t.Fatalf("regressions = %v, want the two derived steps", res.Regressions)
 	}
@@ -121,7 +121,7 @@ func TestTrendSkipsMissingAndJudgesDerived(t *testing.T) {
 }
 
 func TestTrendEmpty(t *testing.T) {
-	if res := Trend(nil, 10, 5); !res.OK() || res.Report == "" {
+	if res := Trend(nil); !res.OK() || res.Report == "" {
 		t.Fatal("empty history should render a note and pass")
 	}
 }

@@ -246,14 +246,18 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 	// growth; the Linux heap never does (shrink frees pages, so each
 	// balanced cycle faults anew) and keeps paying full price — which is
 	// its cost model. Rank 0 is always replayed so Result.HeapStats keeps
-	// exact whole-run accounting, and memoization is disabled entirely
-	// when counting: the per-call counter emission inside Sbrk/TouchUpTo
-	// is part of the contract then. -1 marks "not steady yet".
-	var heapMemo []sim.Duration
-	if heapOps != nil && !counting {
-		heapMemo = make([]sim.Duration, len(ns.heaps))
+	// exact whole-run accounting. When counting, the memo also records the
+	// steady step's heap-counter deltas (the HeapStats difference across
+	// the step, which is exactly what Sbrk emitted) and a hit re-adds them:
+	// counter sums commute, a pure step adds no fault, zeroing or placement
+	// bytes, and its peak never rises, so the totals match a full replay.
+	// Memoization is off while eventing, where every replayed call is part
+	// of the record. cost -1 marks "not steady yet".
+	var heapMemo []heapMemoEntry
+	if heapOps != nil && !eventing {
+		heapMemo = make([]heapMemoEntry, len(ns.heaps))
 		for i := range heapMemo {
-			heapMemo[i] = -1
+			heapMemo[i].cost = -1
 		}
 	}
 
@@ -271,17 +275,20 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 		var heapMax sim.Duration
 		if heapOps != nil {
 			for ri, h := range ns.heaps {
-				if heapMemo != nil && heapMemo[ri] >= 0 {
-					cost := heapMemo[ri]
-					if cost > heapMax {
-						heapMax = cost
+				if heapMemo != nil && heapMemo[ri].cost >= 0 {
+					m := &heapMemo[ri]
+					if m.cost > heapMax {
+						heapMax = m.cost
+					}
+					if counting {
+						m.count(sink)
 					}
 					if observing {
-						sink.ObserveRank("heap.cost_ns", ri, int64(cost))
+						sink.ObserveRank("heap.cost_ns", ri, int64(m.cost))
 					}
 					continue
 				}
-				sizeBefore := h.Size()
+				sizeBefore, statsBefore := h.Size(), h.Stats()
 				cost, work := replayHeapStep(h, heapOps, brkTime, costs)
 				if cost > heapMax {
 					heapMax = cost
@@ -290,7 +297,7 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 					sink.ObserveRank("heap.cost_ns", ri, int64(cost))
 				}
 				if heapMemo != nil && ri != 0 && h.Size() == sizeBefore && work.PureSyscall() {
-					heapMemo[ri] = cost
+					heapMemo[ri] = newHeapMemo(cost, statsBefore, h.Stats())
 				}
 			}
 			if counting {
@@ -546,6 +553,40 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 		DemandRanks: countDemandRanks(ns),
 		Steps:       res0Steps,
 	}, nil
+}
+
+// heapMemoEntry is one rank's steady-state heap replay: its cost and the
+// sum-style heap counters one replay adds, in heapSumKeys order.
+type heapMemoEntry struct {
+	cost  sim.Duration
+	delta [len(heapSumKeys)]int64
+}
+
+// heapSumKeys are the heap counters Sbrk adds to in step with HeapStats.
+var heapSumKeys = [...]trace.Key{trace.KeyHeapQueries, trace.KeyHeapGrows,
+	trace.KeyHeapGrownBytes, trace.KeyHeapShrinks, trace.KeyHeapShrunkBytes}
+
+// newHeapMemo records a steady step from the heap's stats before and after.
+func newHeapMemo(cost sim.Duration, before, after mem.HeapStats) heapMemoEntry {
+	return heapMemoEntry{cost: cost, delta: [...]int64{
+		after.Queries - before.Queries,
+		after.Grows - before.Grows,
+		after.GrownBytes - before.GrownBytes,
+		after.Shrinks - before.Shrinks,
+		after.ShrunkBytes - before.ShrunkBytes,
+	}}
+}
+
+// count emits the counters a replay of the memoized step would have. Zero
+// deltas are skipped: a key the step only touched with zero was already
+// touched when the step was first replayed, and one it never emitted must
+// stay absent.
+func (m *heapMemoEntry) count(sink *trace.Sink) {
+	for i, k := range heapSumKeys {
+		if m.delta[i] != 0 {
+			sink.CountKey(k, m.delta[i])
+		}
+	}
 }
 
 // replayHeapStep replays one timestep's brk trace on a rank's heap engine.

@@ -3,9 +3,9 @@ package trace
 // Key is an interned counter name: a dense index into a fixed table of the
 // counter names the simulation's hot paths emit. Sink.CountKey /
 // Sink.CountMaxKey resolve a Key with one array index instead of hashing a
-// string per emission — the difference between the string-map counting path
-// (+25% on figure4-quick, BENCH_PR3.json) and the ≤5% budget BENCH_PR4.json
-// tracks. Dynamic names (per-noise-source attribution, rare syscalls) keep
+// string per emission: the string-map counting path cost +25% on
+// figure4-quick (BENCH_PR3.json). BENCH.json's counters_overhead_percent
+// carries the ≤5% budget on counting as a whole. Dynamic names (per-noise-source attribution, rare syscalls) keep
 // using the string API; Counters.Add routes a string that happens to name a
 // Key to the dense slot, so both APIs always agree on the same counter.
 type Key int32
