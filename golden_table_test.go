@@ -40,6 +40,8 @@ var goldenTable = []struct {
 		"7a61f92d9a9337177d1b13405cf7fd323a938819a57848059bebfcc04b2ec30e"},
 	{"ProxyOptions", func() (any, error) { return ReproduceProxyOptions(goldenCfg) },
 		"9d2e6d70e99d9f6398eeb06a58a93896490fec0f69bae1a7a2f0a430631edbad"},
+	{"Ablations", func() (any, error) { return ReproduceAblations(goldenCfg) },
+		"3d5f03e95e7414dc0d3926d926d0904acc047cf37bf66e70762569f7ea3040b3"},
 	{"Quadrant", func() (any, error) { return ReproduceQuadrant(goldenCfg) },
 		"29840dd15fa0fb7035bb04dff31e2098d402e2269bdb1fe20e0a78569cac3264"},
 	{"Facility", func() (any, error) { r, s, err := ReproduceFacility(goldenCfg); return []any{r, s}, err },

@@ -80,3 +80,24 @@ func schedule(e *sim.Engine, m map[string]int) {
 		e.After(d, func() {})
 	}
 }
+
+// Drawing from an RNG that outlives the loop hands each key whichever
+// draws its visit position gets.
+func drawOuter(m map[string]float64, rng *sim.RNG) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for k, v := range m { // want `draws from RNG rng via rng\.Float64`
+		out[k] = v * rng.Float64()
+	}
+	return out
+}
+
+// An RNG seeded per key inside the loop draws the same values whatever
+// the visit order.
+func drawInner(m map[string]uint64) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for k, seed := range m {
+		rng := sim.NewRNG(seed)
+		out[k] = rng.Float64()
+	}
+	return out
+}

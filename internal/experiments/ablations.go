@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"mklite/internal/hw"
 	"mklite/internal/ihk"
@@ -46,8 +48,10 @@ func Ablations(cfg Config) (AblationResults, error) {
 		"mckernel":      noise.McKernelProfile(),
 		"mos":           noise.MOSProfile(),
 	}
-	for name, p := range profiles {
-		fwq := noise.RunFWQ(rng.Split(), p, 1, sim.Millisecond, 5000)
+	// Sorted keys: each profile's RNG stream is the one its sorted
+	// position splits off, whatever the map's iteration order.
+	for _, name := range slices.Sorted(maps.Keys(profiles)) {
+		fwq := noise.RunFWQ(rng.Split(), profiles[name], 1, sim.Millisecond, 5000)
 		res.FWQNoisePercent[name] = fwq.NoisePercent()
 	}
 

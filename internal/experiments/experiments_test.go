@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -280,6 +281,25 @@ func TestAblations(t *testing.T) {
 	out := RenderAblations(a)
 	if !strings.Contains(out, "FWQ") || !strings.Contains(out, "IKC") {
 		t.Fatal("render")
+	}
+}
+
+// TestAblationsRepeatable calls Ablations repeatedly at one seed: each FWQ
+// profile must draw the same RNG stream every time, whatever the order the
+// profile map is visited in.
+func TestAblationsRepeatable(t *testing.T) {
+	first, err := Ablations(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 8; i++ {
+		a, err := Ablations(quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(a.FWQNoisePercent, first.FWQNoisePercent) {
+			t.Fatalf("call %d: FWQNoisePercent %v, first call %v", i+1, a.FWQNoisePercent, first.FWQNoisePercent)
+		}
 	}
 }
 
