@@ -31,7 +31,7 @@
 //   - floatorder:   flags order-sensitive floating-point accumulation whose
 //     iteration source is a map or channel range or a par closure.
 //   - errdrop:      forbids discarding the error results of module-internal
-//     APIs (par.MapErr, fault.ParsePlan, trace.Validate, …).
+//     APIs (par.Map, fault.ParsePlan, trace.Validate, …).
 //   - ignoreaudit:  every //mklint:ignore directive must still suppress at
 //     least one live diagnostic; stale ignores are errors.
 //

@@ -52,7 +52,7 @@ func runNoGoroutine(pass *Pass) error {
 				pass.Reportf(gs.Pos(), "bare go statement in simulation-model package %s: the engine requires exactly one runnable goroutine; use sim.Engine.Spawn and the cooperative sim.Proc API (determinism contract, see docs/LINTING.md)",
 					pass.Pkg.Path())
 			} else {
-				pass.Reportf(gs.Pos(), "bare go statement in %s: internal/par is the module's one sanctioned goroutine spawner; fan independent jobs out through par.Map / par.MapErr (determinism contract, see docs/LINTING.md)",
+				pass.Reportf(gs.Pos(), "bare go statement in %s: internal/par is the module's one sanctioned goroutine spawner; fan independent jobs out through par.Map (determinism contract, see docs/LINTING.md)",
 					pass.Pkg.Path())
 			}
 			return true

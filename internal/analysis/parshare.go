@@ -6,15 +6,6 @@ import (
 	"go/types"
 )
 
-// parFuncs are the fan-out entry points of internal/par whose closure
-// arguments the analyzer inspects.
-var parFuncs = map[string]bool{
-	"Map":         true,
-	"MapErr":      true,
-	"MapWidth":    true,
-	"MapWidthErr": true,
-}
-
 // sharedTypeGroups lists the types that are per-job state by contract,
 // grouped by owning package. Sharing one across par jobs races, and — worse
 // for the reproducibility gate — makes the run a function of worker
@@ -54,18 +45,35 @@ var parFuncs = map[string]bool{
 //     first. Policy is guarded with it: a policy handle's only job-side
 //     use is minting per-run State, and the contract keeps both derivations
 //     inside the closure (k.Sched().NewState(...) per job).
+//
+// Each row carries the fix hint its capture diagnostic gives. Rows with a
+// global kind also ban package-level variables of their types outside the
+// owning package: such a variable is shared by construction.
 var sharedTypeGroups = []struct {
 	pkg   string // import-path suffix of the owning package
 	disp  string // display prefix in diagnostics
 	names map[string]bool
+	hint  string // how a job builds its own instance instead
+	// global names the banned package-level kind ("" = no ban), and
+	// globalRule says where the state belongs instead.
+	global, globalRule string
 }{
-	{"internal/sim", "sim", map[string]bool{"RNG": true, "Engine": true, "Proc": true}},
-	{"internal/trace", "trace", map[string]bool{"Sink": true, "Counters": true, "Events": true}},
-	{"internal/metrics", "metrics", map[string]bool{"Registry": true, "Histogram": true}},
-	{"internal/fault", "fault", map[string]bool{"Injector": true}},
-	{"internal/fleet", "fleet", map[string]bool{"Scheduler": true, "Allocator": true}},
-	{"internal/obs", "obs", map[string]bool{"Timeline": true, "DecisionLog": true}},
-	{"internal/sched", "sched", map[string]bool{"Policy": true, "State": true}},
+	{pkg: "internal/sim", disp: "sim", names: map[string]bool{"RNG": true, "Engine": true, "Proc": true},
+		hint: "sim.NewRNG(sim.StreamSeed(seed, uint64(i)))"},
+	{pkg: "internal/trace", disp: "trace", names: map[string]bool{"Sink": true, "Counters": true, "Events": true},
+		hint:   "trace.NewSink(trace.NewCounters(), nil), merged in index order after the join",
+		global: "trace sink", globalRule: "sinks are per-run state threaded through the run's job/config"},
+	{pkg: "internal/metrics", disp: "metrics", names: map[string]bool{"Registry": true, "Histogram": true},
+		hint:   "metrics.NewRegistry(), merged in index order after the join",
+		global: "metrics registry", globalRule: "registries are per-run state attached through Options.Metrics"},
+	{pkg: "internal/fault", disp: "fault", names: map[string]bool{"Injector": true},
+		hint: "fault.NewInjector(plan, sim.StreamSeed(seed, fault.StreamCluster))"},
+	{pkg: "internal/fleet", disp: "fleet", names: map[string]bool{"Scheduler": true, "Allocator": true},
+		hint: "decide placement sequentially before the fan-out and pass immutable launch specs into the closure"},
+	{pkg: "internal/obs", disp: "obs", names: map[string]bool{"Timeline": true, "DecisionLog": true},
+		hint: "build a job-local trace.NewEvents ring inside the closure and merge it into the timeline/log in batch order after the join"},
+	{pkg: "internal/sched", disp: "sched", names: map[string]bool{"Policy": true, "State": true},
+		hint: "derive the policy from the job's kernel inside the closure and seed its state per run: k.Sched().NewState(sim.StreamSeed(seed, sched.StreamState))"},
 }
 
 // ParShare rejects par.Map closures that capture per-job state — a *sim.RNG
@@ -87,15 +95,8 @@ var ParShare = &Analyzer{
 }
 
 func runParShare(pass *Pass) error {
-	// internal/trace and internal/metrics own the guarded observation
-	// types; their declarations are the implementation, not a leak.
-	ownerPkg := pass.Pkg != nil &&
-		(pathMatches(pass.Pkg.Path(), "internal/trace") ||
-			pathMatches(pass.Pkg.Path(), "internal/metrics"))
 	for _, f := range pass.Files {
-		if !ownerPkg {
-			checkGlobalSinks(pass, f)
-		}
+		checkGlobals(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || !isParCall(pass, call) {
@@ -114,10 +115,12 @@ func runParShare(pass *Pass) error {
 	return nil
 }
 
-// checkGlobalSinks reports package-level variables of a guarded trace type.
-// A package-global sink is shared by construction — every run and every par
-// worker would emit into it — so it can never satisfy the per-run contract.
-func checkGlobalSinks(pass *Pass, f *ast.File) {
+// checkGlobals reports package-level variables of a guarded type whose row
+// bans them. A package-global sink is shared by construction — every run
+// and every par worker would emit into it — so it can never satisfy the
+// per-run contract. The owning package's own declarations are the
+// implementation, not a leak.
+func checkGlobals(pass *Pass, f *ast.File) {
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok || gd.Tok != token.VAR {
@@ -133,24 +136,23 @@ func checkGlobalSinks(pass *Pass, f *ast.File) {
 				if !ok {
 					continue
 				}
-				switch {
-				case isTraceType(v.Type()):
-					pass.Reportf(name.Pos(), "package-level trace sink %s %q: sinks are per-run state threaded through the run's job/config, never package globals (determinism contract, see docs/OBSERVABILITY.md)",
-						sharedTypeName(v.Type()), name.Name)
-				case isMetricsType(v.Type()):
-					pass.Reportf(name.Pos(), "package-level metrics registry %s %q: registries are per-run state attached through Options.Metrics, never package globals (determinism contract, see docs/OBSERVABILITY.md)",
-						sharedTypeName(v.Type()), name.Name)
+				_, gi, _ := guardedNamed(v.Type())
+				if gi < 0 || sharedTypeGroups[gi].global == "" ||
+					(pass.Pkg != nil && pathMatches(pass.Pkg.Path(), sharedTypeGroups[gi].pkg)) {
+					continue
 				}
+				g := sharedTypeGroups[gi]
+				pass.Reportf(name.Pos(), "package-level %s %s %q: %s, never package globals (determinism contract, see docs/OBSERVABILITY.md)",
+					g.global, sharedTypeName(v.Type()), name.Name, g.globalRule)
 			}
 		}
 	}
 }
 
-// isParCall reports whether call invokes one of internal/par's fan-out
-// functions.
+// isParCall reports whether call invokes internal/par's fan-out, par.Map.
 func isParCall(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !parFuncs[sel.Sel.Name] {
+	if !ok || sel.Sel.Name != "Map" {
 		return false
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
@@ -177,24 +179,9 @@ func checkClosure(pass *Pass, lit *ast.FuncLit) {
 		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
 			return true
 		}
-		if name := sharedTypeName(v.Type()); name != "" {
-			hint := "sim.NewRNG(sim.StreamSeed(seed, uint64(i)))"
-			switch {
-			case isTraceType(v.Type()):
-				hint = "trace.NewSink(trace.NewCounters(), nil), merged in index order after the join"
-			case isMetricsType(v.Type()):
-				hint = "metrics.NewRegistry(), merged in index order after the join"
-			case isFaultType(v.Type()):
-				hint = "fault.NewInjector(plan, sim.StreamSeed(seed, fault.StreamCluster))"
-			case isFleetType(v.Type()):
-				hint = "decide placement sequentially before the fan-out and pass immutable launch specs into the closure"
-			case isObsType(v.Type()):
-				hint = "build a job-local trace.NewEvents ring inside the closure and merge it into the timeline/log in batch order after the join"
-			case isSchedType(v.Type()):
-				hint = "derive the policy from the job's kernel inside the closure and seed its state per run: k.Sched().NewState(sim.StreamSeed(seed, sched.StreamState))"
-			}
+		if _, gi, _ := guardedNamed(v.Type()); gi >= 0 {
 			pass.Reportf(id.Pos(), "par closure captures %s %q from an enclosing scope: per-job state must be derived inside the job — %s — or worker scheduling leaks into the results (determinism contract, see docs/LINTING.md)",
-				name, id.Name, hint)
+				sharedTypeName(v.Type()), id.Name, sharedTypeGroups[gi].hint)
 		}
 		return true
 	})
@@ -231,46 +218,4 @@ func sharedTypeName(t types.Type) string {
 		prefix = "*"
 	}
 	return prefix + sharedTypeGroups[gi].disp + "." + named.Obj().Name()
-}
-
-// isTraceType reports whether t is — or points to — a guarded
-// internal/trace type.
-func isTraceType(t types.Type) bool {
-	_, gi, _ := guardedNamed(t)
-	return gi >= 0 && sharedTypeGroups[gi].pkg == "internal/trace"
-}
-
-// isMetricsType reports whether t is — or points to — a guarded
-// internal/metrics type.
-func isMetricsType(t types.Type) bool {
-	_, gi, _ := guardedNamed(t)
-	return gi >= 0 && sharedTypeGroups[gi].pkg == "internal/metrics"
-}
-
-// isFaultType reports whether t is — or points to — a guarded
-// internal/fault type.
-func isFaultType(t types.Type) bool {
-	_, gi, _ := guardedNamed(t)
-	return gi >= 0 && sharedTypeGroups[gi].pkg == "internal/fault"
-}
-
-// isFleetType reports whether t is — or points to — a guarded
-// internal/fleet type.
-func isFleetType(t types.Type) bool {
-	_, gi, _ := guardedNamed(t)
-	return gi >= 0 && sharedTypeGroups[gi].pkg == "internal/fleet"
-}
-
-// isObsType reports whether t is — or points to — a guarded internal/obs
-// type.
-func isObsType(t types.Type) bool {
-	_, gi, _ := guardedNamed(t)
-	return gi >= 0 && sharedTypeGroups[gi].pkg == "internal/obs"
-}
-
-// isSchedType reports whether t is — or points to — a guarded
-// internal/sched type.
-func isSchedType(t types.Type) bool {
-	_, gi, _ := guardedNamed(t)
-	return gi >= 0 && sharedTypeGroups[gi].pkg == "internal/sched"
 }

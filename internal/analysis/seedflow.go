@@ -74,9 +74,9 @@ func init() {
 	RegisterFact(&rngParamsFact{})
 }
 
-// rngDrawMethods are the *sim.RNG methods that consume the stream. Split
-// and SplitN are deliberately absent: deriving an independent generator is
-// the sanctioned way to open a new stream context.
+// rngDrawMethods are the *sim.RNG methods that consume the stream. Split is
+// deliberately absent: deriving an independent generator is the sanctioned
+// way to open a new stream context.
 var rngDrawMethods = map[string]bool{
 	"Uint64": true, "Float64": true, "Intn": true, "Int63n": true,
 	"Bool": true, "ExpFloat64": true, "NormFloat64": true,

@@ -8,52 +8,52 @@ import (
 	"mklite/internal/sim"
 )
 
-func badSharedRNG(seed uint64) []float64 {
+func badSharedRNG(seed uint64) ([]float64, error) {
 	rng := sim.NewRNG(seed)
-	return par.Map(8, func(i int) float64 {
-		return rng.Float64() // want `par closure captures \*sim\.RNG "rng" from an enclosing scope`
+	return par.Map(0, 8, func(i int) (float64, error) {
+		return rng.Float64(), nil // want `par closure captures \*sim\.RNG "rng" from an enclosing scope`
 	})
 }
 
 func badSharedValue(seed uint64) []uint64 {
 	var rng sim.RNG
 	_ = rng
-	out, _ := par.MapErr(4, func(i int) (uint64, error) {
+	out, _ := par.Map(0, 4, func(i int) (uint64, error) {
 		r := &rng // want `par closure captures sim\.RNG "rng" from an enclosing scope`
 		return r.Uint64(), nil
 	})
 	return out
 }
 
-func badEngine(eng *sim.Engine) []int {
-	return par.MapWidth(2, 4, func(i int) int {
+func badEngine(eng *sim.Engine) ([]int, error) {
+	return par.Map(2, 4, func(i int) (int, error) {
 		eng.RunUntil(sim.Time(i)) // want `par closure captures \*sim\.Engine "eng" from an enclosing scope`
-		return i
+		return i, nil
 	})
 }
 
-func badNestedClosure(seed uint64) []float64 {
+func badNestedClosure(seed uint64) ([]float64, error) {
 	rng := sim.NewRNG(seed)
-	return par.Map(8, func(i int) float64 {
+	return par.Map(0, 8, func(i int) (float64, error) {
 		f := func() float64 {
 			return rng.Float64() // want `par closure captures \*sim\.RNG "rng" from an enclosing scope`
 		}
-		return f()
+		return f(), nil
 	})
 }
 
-func goodPerJobStream(seed uint64) []float64 {
-	return par.Map(8, func(i int) float64 {
+func goodPerJobStream(seed uint64) ([]float64, error) {
+	return par.Map(0, 8, func(i int) (float64, error) {
 		rng := sim.NewRNG(sim.StreamSeed(seed, uint64(i)))
-		return rng.Float64()
+		return rng.Float64(), nil
 	})
 }
 
-func goodPlainCapture(scale float64) []float64 {
+func goodPlainCapture(scale float64) ([]float64, error) {
 	// Capturing immutable non-sim state is fine; only per-job
 	// simulation state is guarded.
-	return par.Map(8, func(i int) float64 {
-		return scale * float64(i)
+	return par.Map(0, 8, func(i int) (float64, error) {
+		return scale * float64(i), nil
 	})
 }
 

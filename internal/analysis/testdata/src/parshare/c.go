@@ -15,29 +15,29 @@ var globalRegistry = metrics.NewRegistry() // want `package-level metrics regist
 
 var globalHistogram metrics.Histogram // want `package-level metrics registry metrics\.Histogram "globalHistogram"`
 
-func badSharedRegistry() []int {
+func badSharedRegistry() ([]int, error) {
 	reg := metrics.NewRegistry()
-	return par.Map(8, func(i int) int {
+	return par.Map(0, 8, func(i int) (int, error) {
 		reg.Observe("latency_ns", int64(i)) // want `par closure captures \*metrics\.Registry "reg" from an enclosing scope`
-		return i
+		return i, nil
 	})
 }
 
-func badSharedHistogram() []int {
+func badSharedHistogram() ([]int, error) {
 	var h metrics.Histogram
-	return par.Map(4, func(i int) int {
+	return par.Map(0, 4, func(i int) (int, error) {
 		h.Record(int64(i)) // want `par closure captures metrics\.Histogram "h" from an enclosing scope`
-		return i
+		return i, nil
 	})
 }
 
 func goodPerJobRegistry() *metrics.Registry {
 	merged := metrics.NewRegistry()
-	parts := par.Map(8, func(i int) *metrics.Registry {
+	parts, _ := par.Map(0, 8, func(i int) (*metrics.Registry, error) {
 		reg := metrics.NewRegistry()
 		sink := trace.NewSinkObs(nil, nil, reg)
 		sink.Observe("latency_ns", int64(i))
-		return reg
+		return reg, nil
 	})
 	// Deterministic aggregation: merge in index order after the join.
 	for _, r := range parts {

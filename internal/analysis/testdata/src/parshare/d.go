@@ -10,36 +10,36 @@ import (
 	"mklite/internal/sim"
 )
 
-func badSharedInjector(plan *fault.Plan, seed uint64) []int {
+func badSharedInjector(plan *fault.Plan, seed uint64) ([]int, error) {
 	inj := fault.NewInjector(plan, sim.StreamSeed(seed, fault.StreamCluster))
-	return par.Map(8, func(i int) int {
+	return par.Map(0, 8, func(i int) (int, error) {
 		n, _ := inj.OffloadStalls(100) // want `par closure captures \*fault\.Injector "inj" from an enclosing scope`
-		return n
+		return n, nil
 	})
 }
 
-func badSharedInjectorValue(plan *fault.Plan) []bool {
+func badSharedInjectorValue(plan *fault.Plan) ([]bool, error) {
 	var inj fault.Injector
 	_ = inj
-	return par.Map(4, func(i int) bool {
+	return par.Map(0, 4, func(i int) (bool, error) {
 		r := &inj // want `par closure captures fault\.Injector "inj" from an enclosing scope`
-		return r.Active()
+		return r.Active(), nil
 	})
 }
 
-func goodPerJobInjector(plan *fault.Plan, seed uint64) []int {
-	return par.Map(8, func(i int) int {
+func goodPerJobInjector(plan *fault.Plan, seed uint64) ([]int, error) {
+	return par.Map(0, 8, func(i int) (int, error) {
 		inj := fault.NewInjector(plan, sim.StreamSeed(sim.StreamSeed(seed, uint64(i)), fault.StreamCluster))
 		n, _ := inj.OffloadStalls(100)
-		return n
+		return n, nil
 	})
 }
 
-func goodSharedPlan(plan *fault.Plan) []bool {
+func goodSharedPlan(plan *fault.Plan) ([]bool, error) {
 	// The Plan is immutable declarative data; only the Injector carries
 	// per-run draw state.
-	return par.Map(8, func(i int) bool {
-		return !plan.Empty()
+	return par.Map(0, 8, func(i int) (bool, error) {
+		return !plan.Empty(), nil
 	})
 }
 

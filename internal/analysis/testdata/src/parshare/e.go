@@ -10,28 +10,28 @@ import (
 	"mklite/internal/par"
 )
 
-func badSharedAllocator() []bool {
+func badSharedAllocator() ([]bool, error) {
 	alloc := fleet.NewAllocator(64, 1)
-	return par.Map(8, func(i int) bool {
-		return alloc.Fits(4) // want `par closure captures \*fleet\.Allocator "alloc" from an enclosing scope`
+	return par.Map(0, 8, func(i int) (bool, error) {
+		return alloc.Fits(4), nil // want `par closure captures \*fleet\.Allocator "alloc" from an enclosing scope`
 	})
 }
 
-func badSharedScheduler() []int {
+func badSharedScheduler() ([]int, error) {
 	var sched fleet.Scheduler
 	_ = sched
-	return par.Map(4, func(i int) int {
+	return par.Map(0, 4, func(i int) (int, error) {
 		s := &sched // want `par closure captures fleet\.Scheduler "sched" from an enclosing scope`
 		_ = s
-		return i
+		return i, nil
 	})
 }
 
-func goodImmutableLaunchSpecs(jobs []*fleet.Job) []int {
+func goodImmutableLaunchSpecs(jobs []*fleet.Job) ([]int, error) {
 	// Placement decided sequentially before the fan-out; the closure sees
 	// only the immutable per-job specs.
-	return par.Map(len(jobs), func(i int) int {
-		return jobs[i].Nodes * jobs[i].Timesteps
+	return par.Map(0, len(jobs), func(i int) (int, error) {
+		return jobs[i].Nodes * jobs[i].Timesteps, nil
 	})
 }
 

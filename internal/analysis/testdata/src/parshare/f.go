@@ -12,29 +12,29 @@ import (
 	"mklite/internal/trace"
 )
 
-func badSharedTimeline() []int {
+func badSharedTimeline() ([]int, error) {
 	tl := obs.NewTimeline(8, 1, 0)
-	return par.Map(4, func(i int) int {
+	return par.Map(0, 4, func(i int) (int, error) {
 		tl.Sample(int64(i), i, 0) // want `par closure captures \*obs\.Timeline "tl" from an enclosing scope`
-		return i
+		return i, nil
 	})
 }
 
-func badSharedDecisionLog() []int {
+func badSharedDecisionLog() ([]int, error) {
 	log := obs.NewDecisionLog()
-	return par.Map(4, func(i int) int {
+	return par.Map(0, 4, func(i int) (int, error) {
 		log.Record(obs.Decision{Job: i}) // want `par closure captures \*obs\.DecisionLog "log" from an enclosing scope`
-		return i
+		return i, nil
 	})
 }
 
 func goodJobLocalRingsMergedAfterJoin() *obs.Timeline {
 	tl := obs.NewTimeline(8, 1, 0)
-	rings := par.Map(4, func(i int) *trace.Events {
+	rings, _ := par.Map(0, 4, func(i int) (*trace.Events, error) {
 		// Per-job ring built inside the closure: no shared state.
 		e := trace.NewEvents(16)
 		e.Emit(trace.Event{Name: "step", Cat: "phase", Ph: trace.PhInstant, TS: int64(i)})
-		return e
+		return e, nil
 	})
 	for job, e := range rings {
 		// Merge in batch order after the join — the sanctioned pattern.

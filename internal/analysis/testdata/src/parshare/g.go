@@ -12,29 +12,29 @@ import (
 	"mklite/internal/sim"
 )
 
-func badSharedSchedState() []int {
+func badSharedSchedState() ([]int, error) {
 	pol, _ := sched.New(sched.Adaptive, sched.Params{})
 	st := pol.NewState(1)
-	return par.Map(4, func(i int) int {
+	return par.Map(0, 4, func(i int) (int, error) {
 		cost := st.Step(sim.Duration(i)) // want `par closure captures \*sched\.State "st" from an enclosing scope`
-		return int(cost.Overhead)
+		return int(cost.Overhead), nil
 	})
 }
 
-func badSharedSchedPolicy() []int {
+func badSharedSchedPolicy() ([]int, error) {
 	pol, _ := sched.New(sched.Adaptive, sched.Params{})
-	return par.Map(4, func(i int) int {
+	return par.Map(0, 4, func(i int) (int, error) {
 		st := pol.NewState(uint64(i)) // want `par closure captures sched\.Policy "pol" from an enclosing scope`
-		return int(st.Step(sim.Duration(i)).Overhead)
+		return int(st.Step(sim.Duration(i)).Overhead), nil
 	})
 }
 
-func goodJobLocalSchedState() []int {
-	return par.Map(4, func(i int) int {
+func goodJobLocalSchedState() ([]int, error) {
+	return par.Map(0, 4, func(i int) (int, error) {
 		// Policy and state both derived inside the job: no shared draws.
 		pol, _ := sched.New(sched.Adaptive, sched.Params{})
 		st := pol.NewState(sim.StreamSeed(1, uint64(i)))
-		return int(st.Step(sim.Duration(i)).Overhead)
+		return int(st.Step(sim.Duration(i)).Overhead), nil
 	})
 }
 

@@ -120,7 +120,7 @@ type repResult struct {
 // per-rep counter sets are merged in index order after the join, keeping the
 // aggregate independent of scheduling.
 func measureCounted(cfg Config, job cluster.Job) (stats.Summary, *trace.Counters, *metrics.Registry, error) {
-	reps, err := par.MapWidthErr(cfg.Workers, cfg.Reps, func(rep int) (repResult, error) {
+	reps, err := par.Map(cfg.Workers, cfg.Reps, func(rep int) (repResult, error) {
 		j := job // per-job copy; the closure shares nothing mutable
 		j.Seed = sim.StreamSeed(cfg.Seed, uint64(rep))
 		if j.Faults == nil {
@@ -182,7 +182,7 @@ func appFigure(cfg Config, app *apps.Spec, id string) (*stats.Figure, error) {
 		counters *trace.Counters
 		metrics  *metrics.Registry
 	}
-	cells, err := par.MapWidthErr(cfg.Workers, len(kts)*len(nodes), func(i int) (cell, error) {
+	cells, err := par.Map(cfg.Workers, len(kts)*len(nodes), func(i int) (cell, error) {
 		kt, n := kts[i/len(nodes)], nodes[i%len(nodes)]
 		sum, ctrs, reg, err := measureCounted(cfg, cluster.Job{App: app, Kernel: kt, Nodes: n})
 		if err != nil {
@@ -241,7 +241,7 @@ func RelativeFigure(fig *stats.Figure) *stats.Figure {
 func Figure4(cfg Config) ([]*stats.Figure, error) {
 	cfg = cfg.normalize()
 	all := apps.All()
-	return par.MapWidthErr(cfg.Workers, len(all), func(i int) (*stats.Figure, error) {
+	return par.Map(cfg.Workers, len(all), func(i int) (*stats.Figure, error) {
 		return appFigure(cfg, all[i], "fig4-"+all[i].Name)
 	})
 }

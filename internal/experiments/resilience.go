@@ -45,7 +45,7 @@ func Resilience(cfg Config) (*stats.Figure, error) {
 	plan := ResiliencePlan()
 
 	type cell struct{ slowdownPct float64 }
-	cells, err := par.MapWidthErr(cfg.Workers, len(kts)*len(nodes), func(i int) (cell, error) {
+	cells, err := par.Map(cfg.Workers, len(kts)*len(nodes), func(i int) (cell, error) {
 		kt, n := kts[i/len(nodes)], nodes[i%len(nodes)]
 		clean, err := measure(cfg, cluster.Job{App: app, Kernel: kt, Nodes: n})
 		if err != nil {

@@ -28,7 +28,7 @@ func SchedSweepApps() []*apps.Spec {
 // Unlike a FOM comparison this isolates exactly the time a scheduling policy
 // can move — compute, memory and wire time are policy-invariant.
 func measureNoiseGap(cfg Config, job cluster.Job) (stats.Summary, error) {
-	gaps, err := par.MapWidthErr(cfg.Workers, cfg.Reps, func(rep int) (float64, error) {
+	gaps, err := par.Map(cfg.Workers, cfg.Reps, func(rep int) (float64, error) {
 		j := job // per-job copy; the closure shares nothing mutable
 		j.Seed = sim.StreamSeed(cfg.Seed, uint64(rep))
 		if j.Faults == nil {
@@ -67,11 +67,11 @@ func SchedSweep(cfg Config) ([]*stats.Figure, error) {
 	kinds := sched.Kinds()
 	sweepApps := SchedSweepApps()
 
-	return par.MapWidthErr(cfg.Workers, len(sweepApps), func(ai int) (*stats.Figure, error) {
+	return par.Map(cfg.Workers, len(sweepApps), func(ai int) (*stats.Figure, error) {
 		app := sweepApps[ai]
 		nodes := cfg.nodeCounts(app)
 		type cell struct{ sum stats.Summary }
-		cells, err := par.MapWidthErr(cfg.Workers, len(kts)*len(kinds)*len(nodes), func(i int) (cell, error) {
+		cells, err := par.Map(cfg.Workers, len(kts)*len(kinds)*len(nodes), func(i int) (cell, error) {
 			kt := kts[i/(len(kinds)*len(nodes))]
 			kind := kinds[(i/len(nodes))%len(kinds)]
 			n := nodes[i%len(nodes)]

@@ -45,7 +45,7 @@ func TableI(cfg Config) ([]TableIRow, *stats.Table, error) {
 		{"mOS, heap management disabled", cluster.Job{App: app, Kernel: kernel.TypeMOS, Nodes: 1, ForceDDROnly: true, MOS: &heapOff}},
 		{"mOS, regular heap management", cluster.Job{App: app, Kernel: kernel.TypeMOS, Nodes: 1, ForceDDROnly: true}},
 	}
-	sums, err := par.MapWidthErr(cfg.Workers, len(variants), func(i int) (stats.Summary, error) {
+	sums, err := par.Map(cfg.Workers, len(variants), func(i int) (stats.Summary, error) {
 		return measure(cfg, variants[i].job)
 	})
 	if err != nil {
@@ -78,7 +78,7 @@ func LTPResults() ([]ltp.Report, *stats.Table, error) {
 // catalogue on its own worker. The equivalence tests sweep the width.
 func LTPResultsWorkers(workers int) ([]ltp.Report, *stats.Table, error) {
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
-	reports, err := par.MapWidthErr(workers, len(kts), func(i int) (ltp.Report, error) {
+	reports, err := par.Map(workers, len(kts), func(i int) (ltp.Report, error) {
 		var k kernel.Kernel
 		var err error
 		switch kts[i] {
@@ -128,7 +128,7 @@ func BrkTrace(cfg Config) ([]BrkTraceResult, error) {
 	cfg = cfg.normalize()
 	app := apps.Lulesh()
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
-	return par.MapWidthErr(cfg.Workers, len(kts), func(i int) (BrkTraceResult, error) {
+	return par.Map(cfg.Workers, len(kts), func(i int) (BrkTraceResult, error) {
 		res, err := cluster.Run(cluster.Job{App: app, Kernel: kts[i], Nodes: 1, Seed: cfg.Seed})
 		if err != nil {
 			return BrkTraceResult{}, err
@@ -162,7 +162,7 @@ type ProxyOptionResult struct {
 func ProxyOptions(cfg Config) ([]ProxyOptionResult, error) {
 	cfg = cfg.normalize()
 	pApps := []*apps.Spec{apps.AMG2013(), apps.MiniFE()}
-	return par.MapWidthErr(cfg.Workers, len(pApps), func(i int) (ProxyOptionResult, error) {
+	return par.Map(cfg.Workers, len(pApps), func(i int) (ProxyOptionResult, error) {
 		app := pApps[i]
 		nodes := 16
 		base, err := measure(cfg, cluster.Job{App: app, Kernel: kernel.TypeMcKernel, Nodes: nodes})
@@ -247,7 +247,7 @@ func QuadrantComparison(cfg Config) ([]QuadrantRow, error) {
 		{"McKernel SNC-4", cluster.Job{App: app, Kernel: kernel.TypeMcKernel, Nodes: nodes}},
 		{"mOS SNC-4", cluster.Job{App: app, Kernel: kernel.TypeMOS, Nodes: nodes}},
 	}
-	sums, err := par.MapWidthErr(cfg.Workers, len(variants), func(i int) (stats.Summary, error) {
+	sums, err := par.Map(cfg.Workers, len(variants), func(i int) (stats.Summary, error) {
 		return measure(cfg, variants[i].job)
 	})
 	if err != nil {
@@ -299,7 +299,7 @@ func CoreSpecialization(cfg Config) ([]CoreSpecRow, error) {
 		{"mOS, 64 cores (+4 Linux cores)", 64,
 			cluster.Job{App: app, Kernel: kernel.TypeMOS, Nodes: nodes}},
 	}
-	sums, err := par.MapWidthErr(cfg.Workers, len(variants), func(i int) (stats.Summary, error) {
+	sums, err := par.Map(cfg.Workers, len(variants), func(i int) (stats.Summary, error) {
 		return measure(cfg, variants[i].job)
 	})
 	if err != nil {

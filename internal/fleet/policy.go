@@ -138,7 +138,7 @@ func Specialize(seed uint64, workers int, interference *fault.Plan) (KernelPolic
 	plan := interferenceFor(interference, 1)
 	calSeedBase := sim.StreamSeed(seed, StreamCalibrate)
 
-	foms, err := par.MapWidthErr(workers, len(all)*len(kts), func(i int) (float64, error) {
+	foms, err := par.Map(workers, len(all)*len(kts), func(i int) (float64, error) {
 		app, kt := all[i/len(kts)], kts[i%len(kts)]
 		spec := *app
 		spec.Timesteps = calibrationTimesteps

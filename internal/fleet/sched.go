@@ -193,7 +193,7 @@ func (s *Scheduler) launch(batch []*launch) error {
 	counting := s.cfg.Counters || s.cfg.Observe.JobCountersOn()
 	eventing := s.cfg.Observe.JobEventsOn()
 	ringCap := s.cfg.Observe.JobEventRingCap()
-	outs, err := par.MapWidthErr(workers, len(batch), func(i int) (runOut, error) {
+	outs, err := par.Map(workers, len(batch), func(i int) (runOut, error) {
 		l := batch[i]
 		var c *trace.Counters
 		if counting {

@@ -41,39 +41,19 @@ type jobPanic struct {
 	stack []byte
 }
 
-// Map runs fn(i) for every i in [0, n) on a worker pool of GOMAXPROCS
-// goroutines and returns the results in index order. fn must be
-// self-contained per index: any randomness must come from a sim.RNG derived
-// inside the closure from the job's own seed, never from a captured
-// generator.
-func Map[T any](n int, fn func(i int) T) []T {
-	return MapWidth(0, n, fn)
-}
-
-// MapWidth is Map with an explicit pool width. A width of zero (or less)
-// selects GOMAXPROCS; width 1 degenerates to a plain sequential loop, which
-// the equivalence tests use as the reference execution.
-func MapWidth[T any](width, n int, fn func(i int) T) []T {
-	//mklint:ignore errdrop the adapter closure never returns a non-nil error
-	out, _ := mapImpl(width, n, func(i int) (T, error) { return fn(i), nil })
-	return out
-}
-
-// MapErr is the errgroup-style variant: fn may fail, and the first error —
-// first by job index, not by completion time, so the result is
-// deterministic — is returned after all jobs have run. Unlike errgroup
-// there is no cancellation: jobs are independent by contract, and letting
-// the remainder finish keeps the work performed identical run to run.
-func MapErr[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapWidthErr(0, n, fn)
-}
-
-// MapWidthErr is MapErr with an explicit pool width (zero = GOMAXPROCS).
-func MapWidthErr[T any](width, n int, fn func(i int) (T, error)) ([]T, error) {
-	return mapImpl(width, n, fn)
-}
-
-func mapImpl[T any](width, n int, fn func(i int) (T, error)) ([]T, error) {
+// Map runs fn(i) for every i in [0, n) on a pool of width goroutines and
+// returns the results in index order. A width of zero (or less) selects
+// GOMAXPROCS; width 1 degenerates to a plain sequential loop, which the
+// equivalence tests use as the reference execution.
+//
+// fn must be self-contained per index: any randomness must come from a
+// sim.RNG derived inside the closure from the job's own seed, never from a
+// captured generator. fn may fail, and the first error — first by job
+// index, not by completion time, so the result is deterministic — is
+// returned after all jobs have run. Unlike errgroup there is no
+// cancellation: jobs are independent by contract, and letting the
+// remainder finish keeps the work performed identical run to run.
+func Map[T any](width, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}

@@ -13,7 +13,10 @@ import (
 
 func TestMapIndexOrder(t *testing.T) {
 	for _, width := range []int{0, 1, 2, 7, 64} {
-		got := MapWidth(width, 20, func(i int) int { return i * i })
+		got, err := Map(width, 20, func(i int) (int, error) { return i * i, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("width %d: out[%d] = %d, want %d", width, i, v, i*i)
@@ -23,11 +26,10 @@ func TestMapIndexOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	if got := Map(0, func(i int) int { return i }); got != nil {
-		t.Fatalf("Map(0) = %v, want nil", got)
-	}
-	if got, err := MapErr(-3, func(i int) (int, error) { return i, nil }); got != nil || err != nil {
-		t.Fatalf("MapErr(-3) = %v, %v", got, err)
+	for _, n := range []int{0, -3} {
+		if got, err := Map(0, n, func(i int) (int, error) { return i, nil }); got != nil || err != nil {
+			t.Fatalf("Map(0, %d) = %v, %v, want nil, nil", n, got, err)
+		}
 	}
 }
 
@@ -38,7 +40,7 @@ func TestMapWidthBounded(t *testing.T) {
 	var cur, peak atomic.Int64
 	barrier := make(chan struct{})
 	go func() { close(barrier) }()
-	MapWidth(width, n, func(i int) int {
+	_, err := Map(width, n, func(i int) (int, error) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -48,8 +50,11 @@ func TestMapWidthBounded(t *testing.T) {
 		}
 		<-barrier // give other workers a chance to overlap
 		cur.Add(-1)
-		return i
+		return i, nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p := peak.Load(); p > width {
 		t.Fatalf("observed %d concurrent jobs, width %d", p, width)
 	}
@@ -59,7 +64,7 @@ func TestMapErrReturnsLowestIndexError(t *testing.T) {
 	wantErr := errors.New("job 3")
 	for _, width := range []int{1, 4} {
 		var ran atomic.Int64
-		got, err := MapWidthErr(width, 10, func(i int) (int, error) {
+		got, err := Map(width, 10, func(i int) (int, error) {
 			ran.Add(1)
 			switch i {
 			case 7:
@@ -98,11 +103,11 @@ func TestPanicCarriesJobIndex(t *testing.T) {
 					t.Fatalf("width %d: panic message %q lacks job index/value", width, msg)
 				}
 			}()
-			MapWidth(width, 16, func(i int) int {
+			_, _ = Map(width, 16, func(i int) (int, error) {
 				if i >= 2 && i%2 == 0 {
 					panic(fmt.Sprintf("boom-%d", i))
 				}
-				return i
+				return i, nil
 			})
 		}()
 	}
@@ -112,9 +117,9 @@ func TestDefaultWidthIsGOMAXPROCS(t *testing.T) {
 	// Indirect check: Map must complete with more jobs than GOMAXPROCS
 	// and produce ordered output (the pool drains the surplus).
 	n := runtime.GOMAXPROCS(0)*4 + 1
-	got := Map(n, func(i int) int { return i })
-	if len(got) != n || got[n-1] != n-1 {
-		t.Fatalf("Map over %d jobs: %v", n, got)
+	got, err := Map(0, n, func(i int) (int, error) { return i, nil })
+	if err != nil || len(got) != n || got[n-1] != n-1 {
+		t.Fatalf("Map over %d jobs: %v, %v", n, got, err)
 	}
 }
 
@@ -123,14 +128,18 @@ func TestDefaultWidthIsGOMAXPROCS(t *testing.T) {
 // result is identical at any width.
 func TestSeedIsolationReproducible(t *testing.T) {
 	draw := func(width int) []uint64 {
-		return MapWidth(width, 32, func(i int) uint64 {
+		out, err := Map(width, 32, func(i int) (uint64, error) {
 			rng := sim.NewRNG(sim.StreamSeed(99, uint64(i)))
 			var sum uint64
 			for k := 0; k < 100; k++ {
 				sum += rng.Uint64()
 			}
-			return sum
+			return sum, nil
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 	ref := draw(1)
 	for _, width := range []int{2, runtime.GOMAXPROCS(0), 16} {
@@ -146,9 +155,12 @@ func TestSeedIsolationReproducible(t *testing.T) {
 func TestNestedMap(t *testing.T) {
 	// The grid/reps wiring nests Map inside Map; both levels must stay
 	// index-ordered.
-	got := MapWidth(4, 6, func(i int) []int {
-		return MapWidth(4, 5, func(j int) int { return i*10 + j })
+	got, err := Map(4, 6, func(i int) ([]int, error) {
+		return Map(4, 5, func(j int) (int, error) { return i*10 + j, nil })
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, row := range got {
 		for j, v := range row {
 			if v != i*10+j {

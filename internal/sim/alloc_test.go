@@ -109,11 +109,11 @@ func TestUnparkOfUnparkedProcPanics(t *testing.T) {
 // pushBurst pushes one 64-entry same-timestamp burst at t, mixing process
 // wakes and closure events, and pops it all again. The pushes grow the
 // calendar (8 -> 16 -> 32 buckets) and the pops shrink it back.
-func pushBurst(q *calQueue, procs []Proc, ev *Event, t Time, seq *uint64) bool {
+func pushBurst(q *calQueue, procs []Proc, fn func(), t Time, seq *uint64) bool {
 	for r := range procs {
 		e := calEntry{at: t, seq: *seq}
 		if r%8 == 0 {
-			e.ev = ev
+			e.fn = fn
 		} else {
 			e.proc = &procs[r]
 		}
@@ -138,12 +138,12 @@ func TestCalQueueBurstAllocatesNothing(t *testing.T) {
 	var q calQueue
 	q.init()
 	procs := make([]Proc, 64)
-	ev := &Event{}
+	fn := func() {}
 	var seq uint64
 	at := Time(0)
 	got := testing.AllocsPerRun(100, func() {
 		at += 1000
-		if !pushBurst(&q, procs, ev, at, &seq) {
+		if !pushBurst(&q, procs, fn, at, &seq) {
 			t.Fatal("queue ran dry")
 		}
 	})
@@ -160,13 +160,13 @@ func BenchmarkCalQueueBurst(b *testing.B) {
 	var q calQueue
 	q.init()
 	procs := make([]Proc, 64)
-	ev := &Event{}
+	fn := func() {}
 	var seq uint64
 	at := Time(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		at += 1000
-		if !pushBurst(&q, procs, ev, at, &seq) {
+		if !pushBurst(&q, procs, fn, at, &seq) {
 			b.Fatal("queue ran dry")
 		}
 	}

@@ -27,7 +27,7 @@ type calQueue struct {
 	buckets []calBucket
 	mask    int    // len(buckets)-1; bucket count is a power of two
 	width   uint64 // bucket width in virtual nanoseconds, >= 1
-	size    int    // queued entries, including cancelled ones not yet popped
+	size    int    // queued entries
 	last    Time   // scan floor: no queued entry is earlier
 	// spare is resize's gather buffer, kept between resizes so that a
 	// burst that grows the calendar and the drain that shrinks it again
@@ -36,14 +36,14 @@ type calQueue struct {
 }
 
 // calEntry is one scheduled wake-up, stored by value: either a process to
-// dispatch (proc) or a closure event (ev), never both. Process wakes — the
+// dispatch (proc) or a closure to run (fn), never both. Process wakes — the
 // steady-state traffic of Sleep, Signal and Mailbox — carry no heap object
-// of their own; closure events keep their *Event so callers can Cancel it.
+// of their own.
 type calEntry struct {
 	at   Time
 	seq  uint64 // tiebreaker: insertion order
 	proc *Proc
-	ev   *Event
+	fn   func()
 }
 
 // before reports whether e orders strictly before o by (at, seq).
@@ -221,17 +221,11 @@ func (q *calQueue) resize(nbuckets int) {
 	q.spare = all[:0]
 }
 
-// clear cancels every queued closure event and discards every entry,
-// zeroing the stored slots so the backing arrays retain no Event (and
-// closure) or Proc references.
+// clear discards every entry, zeroing the stored slots so the backing
+// arrays retain no closure or Proc references.
 func (q *calQueue) clear() {
 	for bi := range q.buckets {
 		b := &q.buckets[bi]
-		for _, e := range b.evs[b.head:] {
-			if e.ev != nil {
-				e.ev.dead = true
-			}
-		}
 		clear(b.evs)
 		b.evs = b.evs[:0]
 		b.head = 0

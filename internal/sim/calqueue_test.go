@@ -6,14 +6,12 @@ import (
 	"testing"
 )
 
-// refEntry is the reference model's copy of one queued entry: its own
-// record of the cancel state, so the heap's bookkeeping cannot alias the
-// calendar queue's.
+// refEntry is the reference model's copy of one queued entry, so the
+// heap's bookkeeping cannot alias the calendar queue's.
 type refEntry struct {
 	at   Time
 	seq  uint64
 	proc *Proc
-	dead bool
 }
 
 // refHeap is the binary heap the calendar queue replaced, kept here as the
@@ -43,9 +41,8 @@ func (h *refHeap) Pop() any {
 // TestCalQueueMatchesBinaryHeap drives the calendar queue and the retired
 // binary heap through identical random workloads — process wakes and
 // closure events mixed, pushes at random future times, same-timestamp
-// bursts, cancellations, interleaved pops — and requires identical pop
-// sequences: the same (at, seq), the same kind of entry, the same process
-// and the same cancel state. Pops respect the engine invariant that nothing
+// bursts, interleaved pops — and requires identical pop sequences: the
+// same (at, seq), the same kind of entry and the same process. Pops respect the engine invariant that nothing
 // is ever scheduled before the last popped timestamp.
 func TestCalQueueMatchesBinaryHeap(t *testing.T) {
 	procs := []*Proc{{name: "a"}, {name: "b"}, {name: "c"}}
@@ -56,11 +53,7 @@ func TestCalQueueMatchesBinaryHeap(t *testing.T) {
 			var q calQueue
 			q.init()
 			var ref refHeap
-			// live holds the closure events pushed and not yet
-			// cancelled, for Cancel (cancelling one already popped is
-			// a no-op in both); refs maps each to the reference's copy.
-			var live []*Event
-			refs := map[*Event]*refEntry{}
+			noop := func() {}
 			var seq uint64
 			now := Time(0)
 
@@ -72,9 +65,7 @@ func TestCalQueueMatchesBinaryHeap(t *testing.T) {
 					e.proc = procs[rng.Intn(len(procs))]
 					r.proc = e.proc
 				} else {
-					e.ev = &Event{at: at}
-					live = append(live, e.ev)
-					refs[e.ev] = r
+					e.fn = noop
 				}
 				q.push(e)
 				heap.Push(&ref, r)
@@ -93,11 +84,9 @@ func TestCalQueueMatchesBinaryHeap(t *testing.T) {
 				case got.at != want.at || got.seq != want.seq:
 					t.Fatalf("pop order diverged: calqueue (at=%d seq=%d) vs heap (at=%d seq=%d)",
 						got.at, got.seq, want.at, want.seq)
-				case got.proc != want.proc || (got.proc == nil) == (got.ev == nil):
-					t.Fatalf("entry kind diverged at seq %d: proc %v ev %v, want proc %v",
-						got.seq, got.proc, got.ev, want.proc)
-				case got.ev != nil && got.ev.dead != want.dead:
-					t.Fatalf("cancel state diverged at seq %d", got.seq)
+				case got.proc != want.proc || (got.proc == nil) == (got.fn == nil):
+					t.Fatalf("entry kind diverged at seq %d: proc %v, want proc %v",
+						got.seq, got.proc, want.proc)
 				}
 				now = got.at
 			}
@@ -113,14 +102,6 @@ func TestCalQueueMatchesBinaryHeap(t *testing.T) {
 					}
 				case r < 70: // far-future outlier (stresses bucket wrap)
 					push(now + Time(1+rng.Int63n(int64(50*Second))))
-				case r < 80: // cancel a random live event in both structures
-					if len(live) > 0 {
-						i := rng.Intn(len(live))
-						victim := live[i]
-						victim.Cancel()
-						refs[victim].dead = true
-						live = append(live[:i], live[i+1:]...)
-					}
 				default:
 					popBoth()
 				}
@@ -193,8 +174,8 @@ func TestEngineDrainReleasesEventReferences(t *testing.T) {
 		e.After(Duration(i), func() { stale++ })
 	}
 	e.Drain()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after Drain", e.Pending())
+	if e.events.size != 0 {
+		t.Fatalf("%d entries queued after Drain", e.events.size)
 	}
 	ran := false
 	e.After(5, func() { ran = true })

@@ -7,25 +7,6 @@ import (
 	"mklite/internal/trace"
 )
 
-// Event is a unit of scheduled work: a function that executes at a point in
-// virtual time. Events with the same timestamp execute in scheduling order
-// (FIFO), which keeps runs deterministic.
-type Event struct {
-	at   Time
-	fn   func()
-	dead bool // cancelled events stay in the queue but are skipped
-}
-
-// Cancel prevents the event from running. Cancelling an already-executed or
-// already-cancelled event is a no-op.
-func (ev *Event) Cancel() { ev.dead = true }
-
-// Cancelled reports whether Cancel has been called on the event.
-func (ev *Event) Cancelled() bool { return ev.dead }
-
-// When returns the virtual time the event is scheduled for.
-func (ev *Event) When() Time { return ev.at }
-
 // Engine is a sequential discrete-event simulator. It is not safe for
 // concurrent use; cooperative processes spawned with Spawn hand control back
 // and forth with the engine so that exactly one goroutine runs at a time.
@@ -35,9 +16,7 @@ type Engine struct {
 	events calQueue
 	rng    *RNG
 
-	executed uint64 // number of events run, for diagnostics
-	running  bool
-	stopped  bool
+	running bool
 
 	// procs maps each live process to its spawn sequence number, so
 	// teardown paths (Drain) can order processes deterministically.
@@ -77,30 +56,22 @@ func (e *Engine) SetSink(s *trace.Sink) { e.sink = s }
 // Sink returns the attached trace sink; nil means tracing is off.
 func (e *Engine) Sink() *trace.Sink { return e.sink }
 
-// Executed returns the number of events executed so far.
-func (e *Engine) Executed() uint64 { return e.executed }
-
-// Pending returns the number of events currently scheduled (including
-// cancelled events that have not yet been skipped).
-func (e *Engine) Pending() int { return e.events.size }
-
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: virtual time is monotone by construction, so a past timestamp is
-// always a model bug.
-func (e *Engine) At(t Time, fn func()) *Event {
+// At schedules fn to run at absolute virtual time t. Events with the same
+// timestamp run in scheduling order (FIFO), which keeps runs
+// deterministic. Scheduling in the past panics: virtual time is monotone by
+// construction, so a past timestamp is always a model bug.
+func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v, before now %v", t, e.now))
 	}
-	ev := &Event{at: t, fn: fn}
-	e.events.push(calEntry{at: t, seq: e.seq, ev: ev})
+	e.events.push(calEntry{at: t, seq: e.seq, fn: fn})
 	e.seq++
-	return ev
 }
 
 // wake schedules p's dispatch at virtual time t (never before now). It
 // takes the next seq exactly as At would, so a process wake holds the same
-// (at, seq) slot as the wake closure it replaces, without an Event or a
-// closure to allocate. Process wakes cannot be cancelled.
+// (at, seq) slot as the wake closure it replaces, without a closure to
+// allocate.
 func (e *Engine) wake(t Time, p *Proc) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: waking %q at %v, before now %v", p.name, t, e.now))
@@ -110,41 +81,31 @@ func (e *Engine) wake(t Time, p *Proc) {
 }
 
 // After schedules fn to run d from now. Negative delays are clamped to zero.
-func (e *Engine) After(d Duration, fn func()) *Event {
+func (e *Engine) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now.Add(d), fn)
+	e.At(e.now.Add(d), fn)
 }
-
-// Stop makes Run return after the current event completes. Pending events
-// remain queued; a subsequent Run resumes them.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the single next event, advancing the clock to its timestamp.
 // It returns false when the queue is empty.
 func (e *Engine) Step() bool {
-	for {
-		ent, ok := e.events.pop()
-		if !ok {
-			return false
-		}
-		if ent.ev != nil && ent.ev.dead {
-			continue
-		}
-		e.now = ent.at
-		e.executed++
-		if ent.proc != nil {
-			ent.proc.dispatch()
-		} else {
-			ent.ev.fn()
-		}
-		return true
+	ent, ok := e.events.pop()
+	if !ok {
+		return false
 	}
+	e.now = ent.at
+	if ent.proc != nil {
+		ent.proc.dispatch()
+	} else {
+		ent.fn()
+	}
+	return true
 }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// the final virtual time.
+// Run executes events until the queue drains. It returns the final virtual
+// time.
 func (e *Engine) Run() Time {
 	return e.RunUntil(Never)
 }
@@ -157,10 +118,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		panic("sim: Engine.Run called reentrantly")
 	}
 	e.running = true
-	e.stopped = false
 	defer func() { e.running = false }()
 
-	for !e.stopped {
+	for {
 		at, ok := e.events.peek()
 		if !ok {
 			break
@@ -177,7 +137,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// Drain cancels every pending event and kills every live process, then runs
+// Drain discards every pending event and kills every live process, then runs
 // the resulting kill deliveries so each killed process unwinds (running its
 // deferred cleanup) before Drain returns. Processes are killed in spawn
 // order — iterating the procs map directly would make the teardown order,
@@ -186,7 +146,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // move.
 func (e *Engine) Drain() {
 	// Clearing the queue nils the stored slots: the old truncate-in-place
-	// retained every Event (and its fn closure) in the backing array.
+	// retained every closure in the backing array.
 	e.events.clear()
 	live := make([]*Proc, 0, len(e.procs))
 	//mklint:ignore maprange collection order is erased by the spawn-sequence sort below

@@ -167,9 +167,6 @@ func (s *Signal) Fire(e *Engine) {
 	s.waiters = s.waiters[:0]
 }
 
-// Waiting returns the number of processes blocked on the signal.
-func (s *Signal) Waiting() int { return len(s.waiters) }
-
 // Mailbox is a FIFO rendezvous between processes carrying values of type T:
 // senders never block, receivers block while the box is empty. The zero
 // value is ready to use. Items and waiting receivers are stored unboxed in

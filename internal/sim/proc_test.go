@@ -109,14 +109,14 @@ func TestSignalWaitingCount(t *testing.T) {
 	var sig Signal
 	e.Spawn("w", func(p *Proc) { p.WaitSignal(&sig) })
 	e.At(5, func() {
-		if sig.Waiting() != 1 {
-			t.Errorf("Waiting() = %d, want 1", sig.Waiting())
+		if len(sig.waiters) != 1 {
+			t.Errorf("%d waiters, want 1", len(sig.waiters))
 		}
 		sig.Fire(e)
 	})
 	e.Run()
-	if sig.Waiting() != 0 {
-		t.Fatalf("Waiting() = %d after fire", sig.Waiting())
+	if len(sig.waiters) != 0 {
+		t.Fatalf("%d waiters after fire", len(sig.waiters))
 	}
 }
 

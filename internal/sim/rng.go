@@ -54,21 +54,12 @@ func (r *RNG) Split() *RNG {
 // stream. Unlike naive `base+i` derivation, two families with nearby base
 // seeds share no stream seeds: the full 64-bit mix decorrelates them.
 //
-// StreamSeed(base, i) == NewRNG(base).SplitN(i+1)[i] seed for every i.
+// StreamSeed(base, i) is the seed of the (i+1)-th Split of NewRNG(base).
 func StreamSeed(base, stream uint64) uint64 {
 	z := base + (stream+1)*splitMixGamma
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// SplitN returns n independent generators derived from the receiver.
-func (r *RNG) SplitN(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
 }
 
 // Float64 returns a uniform value in [0, 1).
