@@ -85,9 +85,9 @@ func figure4Digest(t *testing.T, workers int) string {
 func ltpDigest(t *testing.T, workers int) string {
 	t.Helper()
 	h := sha256.New()
-	reports, table, err := experiments.LTPResultsWorkers(workers)
+	reports, table, err := experiments.LTPResults(workers)
 	if err != nil {
-		t.Fatalf("LTPResultsWorkers(%d): %v", workers, err)
+		t.Fatalf("LTPResults(%d): %v", workers, err)
 	}
 	enc := json.NewEncoder(h)
 	for _, rep := range reports {

@@ -131,9 +131,6 @@ type Result struct {
 	Regressions []string
 }
 
-// OK reports whether the comparison found no out-of-band regressions.
-func (r *Result) OK() bool { return len(r.Regressions) == 0 }
-
 // Compare judges new against old, benchstat-style, by the one judgment
 // band above. Metrics present on only one side are reported but never fail
 // the gate.

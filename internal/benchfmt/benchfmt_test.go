@@ -57,7 +57,7 @@ func TestCompareWithinBand(t *testing.T) {
 	m.Seconds = 0.412
 	new.Modes["sequential"] = m
 	res := Compare(old, new)
-	if !res.OK() {
+	if len(res.Regressions) != 0 {
 		t.Fatalf("want clean comparison, got regressions %v\nreport:\n%s", res.Regressions, res.Report)
 	}
 	if !strings.Contains(res.Report, "sequential") || !strings.Contains(res.Report, "counters_overhead_percent") {
@@ -71,7 +71,7 @@ func TestCompareModeRegression(t *testing.T) {
 	m.Seconds = 1.0 // +150%: outside the 104.5% band
 	new.Modes["sequential"] = m
 	res := Compare(old, new)
-	if res.OK() {
+	if len(res.Regressions) == 0 {
 		t.Fatalf("want regression, report:\n%s", res.Report)
 	}
 	if !strings.Contains(res.Report, "REGRESSION") {
@@ -83,19 +83,19 @@ func TestCompareDerivedRegression(t *testing.T) {
 	old, new := sample(), sample()
 	new.Derived["counters_overhead_percent"] = 15 // +12.5pp > 10pp tolerance
 	res := Compare(old, new)
-	if res.OK() {
+	if len(res.Regressions) == 0 {
 		t.Fatalf("want derived regression, report:\n%s", res.Report)
 	}
 	// Speedup direction: shrinking is the regression.
 	old, new = sample(), sample()
 	new.Derived["parallel_speedup"] = 1.0 // 2.1 -> 1.0: 110% slower
-	if res := Compare(old, new); res.OK() {
+	if res := Compare(old, new); len(res.Regressions) == 0 {
 		t.Fatalf("want speedup regression, report:\n%s", res.Report)
 	}
 	// A speedup that improves is fine.
 	old, new = sample(), sample()
 	new.Derived["parallel_speedup"] = 3.0
-	if res := Compare(old, new); !res.OK() {
+	if res := Compare(old, new); len(res.Regressions) != 0 {
 		t.Fatalf("improvement flagged as regression: %v", res.Regressions)
 	}
 }
@@ -105,7 +105,7 @@ func TestCompareOneSidedMetrics(t *testing.T) {
 	delete(old.Modes, "trace-counters")
 	new.Derived["metrics_overhead_percent"] = 3
 	res := Compare(old, new)
-	if !res.OK() {
+	if len(res.Regressions) != 0 {
 		t.Fatalf("one-sided entries must not fail the gate: %v", res.Regressions)
 	}
 	if !strings.Contains(res.Report, "new") {

@@ -427,7 +427,7 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 				// absorbs one rank's worth of interference instead of
 				// the max over all ranks (no single straggling rank —
 				// max_rank is reported as -1).
-				d = prof.DetourInTo(rng, 1, base, sink)
+				d = prof.DetourIn(rng, 1, base, sink)
 			} else {
 				d, maxRank = noise.MaxDetourRank(rng, prof, totalRanks, base)
 			}
@@ -450,7 +450,7 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 			if gangAligned {
 				// Same alignment argument as the collective path, over
 				// the stencil neighbourhood.
-				d = prof.DetourInTo(rng, 1, base, sink)
+				d = prof.DetourIn(rng, 1, base, sink)
 			} else {
 				nb := haloNeighborhood
 				if nb > totalRanks {
@@ -469,10 +469,10 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 		}
 		if collsDue == 0 && haloWire == 0 {
 			// No synchronisation: only the rank's own detour counts.
-			detour = prof.DetourInTo(rng, 1, base, sink)
+			detour = prof.DetourIn(rng, 1, base, sink)
 		}
 		if core0Hosted {
-			if d0 := prof.DetourInTo(rng, 0, base, sink); d0 > detour {
+			if d0 := prof.DetourIn(rng, 0, base, sink); d0 > detour {
 				detour = d0
 			}
 		}

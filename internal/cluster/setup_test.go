@@ -288,3 +288,43 @@ func BenchmarkHeapReplayStep(b *testing.B) {
 		})
 	}
 }
+
+// TestSetupNodeSpreadsRanksOverQuadrants checks the NUMA-aware block
+// distribution every launch takes: ranks fill the four quadrants in equal
+// blocks, each rank gets its own address space, and the first rank placed
+// in a quadrant starts its working set in one of that quadrant's home
+// domains (later ones may spill once the home MCDRAM is full).
+func TestSetupNodeSpreadsRanksOverQuadrants(t *testing.T) {
+	for _, sk := range setupKernels {
+		j := setupJob(sk.typ)
+		k := bootN(t, j, 1)[0]
+		ns, err := setupNode(k, j)
+		if err != nil {
+			t.Fatalf("%s: %v", sk.name, err)
+		}
+		node := k.Partition().Node
+		mcAll, ddrAll := node.DomainsOfKind(hw.MCDRAM), node.DomainsOfKind(hw.DDR4)
+		var perQuad [4]int
+		spaces := map[*mem.AddrSpace]bool{}
+		for _, rs := range ns.ranks {
+			first := perQuad[rs.homeQuad] == 0
+			perQuad[rs.homeQuad]++
+			if spaces[rs.as] {
+				t.Fatalf("%s: rank %d shares an address space", sk.name, rs.id)
+			}
+			spaces[rs.as] = true
+			pl := newPlacement(node, mcAll, ddrAll, rs.homeQuad)
+			if first && len(rs.ws.Backings) > 0 {
+				if d := rs.ws.Backings[0].Ext.Domain; d != pl.mcHome && d != pl.ddrHome {
+					t.Errorf("%s: rank %d (quadrant %d) working set starts in domain %d, home domains %d/%d",
+						sk.name, rs.id, rs.homeQuad, d, pl.mcHome, pl.ddrHome)
+				}
+			}
+		}
+		for q, n := range perQuad {
+			if n != j.App.RanksPerNode/4 {
+				t.Errorf("%s: quadrant %d holds %d ranks, want %d", sk.name, q, n, j.App.RanksPerNode/4)
+			}
+		}
+	}
+}

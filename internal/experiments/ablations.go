@@ -51,7 +51,7 @@ func Ablations(cfg Config) (AblationResults, error) {
 	// Sorted keys: each profile's RNG stream is the one its sorted
 	// position splits off, whatever the map's iteration order.
 	for _, name := range slices.Sorted(maps.Keys(profiles)) {
-		fwq := noise.RunFWQ(rng.Split(), profiles[name], 1, sim.Millisecond, 5000)
+		fwq := noise.RunFWQ(rng.Split(), profiles[name], 1, sim.Millisecond, 5000, nil)
 		res.FWQNoisePercent[name] = fwq.NoisePercent()
 	}
 

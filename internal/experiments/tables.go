@@ -68,15 +68,10 @@ func TableI(cfg Config) ([]TableIRow, *stats.Table, error) {
 }
 
 // LTPResults runs the conformance suite against all three kernels and
-// renders the section III-D comparison.
-func LTPResults() ([]ltp.Report, *stats.Table, error) {
-	return LTPResultsWorkers(0)
-}
-
-// LTPResultsWorkers is LTPResults with an explicit fan-out width (0 =
+// renders the section III-D comparison. workers is the fan-out width (0 =
 // GOMAXPROCS, 1 = sequential); each kernel boots and runs the 3,328-case
 // catalogue on its own worker. The equivalence tests sweep the width.
-func LTPResultsWorkers(workers int) ([]ltp.Report, *stats.Table, error) {
+func LTPResults(workers int) ([]ltp.Report, *stats.Table, error) {
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
 	reports, err := par.Map(workers, len(kts), func(i int) (ltp.Report, error) {
 		var k kernel.Kernel
@@ -355,7 +350,7 @@ func replayBrkS30(kt kernel.Type, sink *trace.Sink) (*kernel.Process, kernel.Ker
 	if err != nil {
 		return nil, nil, mem.Work{}, err
 	}
-	p, err := kernel.NewProcessWith(k, 1, hw.GiB, sink)
+	p, err := kernel.NewProcess(k, 1, hw.GiB, sink)
 	if err != nil {
 		return nil, nil, mem.Work{}, err
 	}

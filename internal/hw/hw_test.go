@@ -27,10 +27,10 @@ func TestKNLSNC4Shape(t *testing.T) {
 
 func TestKNLSNC4Capacities(t *testing.T) {
 	n := KNL7250SNC4()
-	if got := n.TotalCapacity(MCDRAM); got != 16*GiB {
+	if got := totalCapacity(n, MCDRAM); got != 16*GiB {
 		t.Fatalf("MCDRAM capacity = %d, want 16 GiB", got)
 	}
-	if got := n.TotalCapacity(DDR4); got != 96*GiB {
+	if got := totalCapacity(n, DDR4); got != 96*GiB {
 		t.Fatalf("DDR4 capacity = %d, want 96 GiB", got)
 	}
 }
@@ -97,14 +97,10 @@ func TestCPUNumbering(t *testing.T) {
 func TestDomainOfCPU(t *testing.T) {
 	n := KNL7250SNC4()
 	// Core 0 is in quadrant 0; core 17 in quadrant 1.
-	if d, _ := n.DomainOfCPU(0); d != 0 {
-		t.Fatalf("DomainOfCPU(0) = %d", d)
-	}
-	if d, _ := n.DomainOfCPU(17); d != 1 {
-		t.Fatalf("DomainOfCPU(17) = %d", d)
-	}
-	if d, _ := n.DomainOfCPU(67); d != 3 {
-		t.Fatalf("DomainOfCPU(67) = %d", d)
+	for _, c := range []struct{ cpu, domain int }{{0, 0}, {17, 1}, {67, 3}} {
+		if core, err := n.CoreOfCPU(c.cpu); err != nil || core.Domain != c.domain {
+			t.Fatalf("CPU %d in domain %v (%v), want %d", c.cpu, core, err, c.domain)
+		}
 	}
 }
 
@@ -141,7 +137,7 @@ func TestQuadrantPreset(t *testing.T) {
 	if len(n.Domains) != 2 {
 		t.Fatalf("domains = %d, want 2", len(n.Domains))
 	}
-	if n.TotalCapacity(MCDRAM) != 16*GiB || n.TotalCapacity(DDR4) != 96*GiB {
+	if totalCapacity(n, MCDRAM) != 16*GiB || totalCapacity(n, DDR4) != 96*GiB {
 		t.Fatal("quadrant capacities wrong")
 	}
 	if n.NumLogicalCPUs() != 272 {
@@ -273,40 +269,6 @@ func TestEffectiveBandwidthBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDualSocketXeonPreset(t *testing.T) {
-	n := DualSocketXeon(24, 192*GiB)
-	if err := n.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if n.NumCores() != 48 || n.NumLogicalCPUs() != 96 {
-		t.Fatalf("cores %d, cpus %d", n.NumCores(), n.NumLogicalCPUs())
-	}
-	if len(n.DomainsOfKind(MCDRAM)) != 0 {
-		t.Fatal("a Xeon has no MCDRAM")
-	}
-	if n.TotalCapacity(DDR4) != 384*GiB {
-		t.Fatalf("capacity %d", n.TotalCapacity(DDR4))
-	}
-	// Defaults kick in for non-positive arguments.
-	d := DualSocketXeon(0, 0)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestXeonWorksWithAllocator(t *testing.T) {
-	// The memory substrate is node-agnostic: a Xeon node allocates and
-	// maps exactly like a KNL one.
-	n := DualSocketXeon(24, 192*GiB)
-	if n.Distance[0][1] != 21 {
-		t.Fatal("cross-socket distance")
-	}
-	nearest, err := n.NearestDomain(0, []int{0, 1})
-	if err != nil || nearest != 0 {
-		t.Fatalf("nearest: %d, %v", nearest, err)
 	}
 }
 
@@ -450,4 +412,15 @@ func TestValidateErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// totalCapacity sums the capacity of the node's domains of one kind.
+func totalCapacity(n *NodeSpec, kind MemKind) int64 {
+	var total int64
+	for _, d := range n.Domains {
+		if d.Mem.Kind == kind {
+			total += d.Mem.Capacity
+		}
+	}
+	return total
 }

@@ -181,58 +181,3 @@ func KNL7250Quadrant() *NodeSpec {
 	n.Distance = [][]int{{10, 31}, {31, 10}}
 	return n
 }
-
-// DualSocketXeon returns a conventional two-socket server node: two DDR4
-// NUMA domains with their cores, no on-package memory. It exists to
-// demonstrate that the node model is parametric — nothing in the kernels
-// or the harness is KNL-specific — and serves as a contrast configuration
-// in tests.
-func DualSocketXeon(coresPerSocket int, memPerSocket int64) *NodeSpec {
-	if coresPerSocket <= 0 {
-		coresPerSocket = 24
-	}
-	if memPerSocket <= 0 {
-		memPerSocket = 192 * GiB
-	}
-	n := &NodeSpec{
-		Name:           "dual-xeon",
-		Mode:           Quadrant, // single-level NUMA, no sub-clustering
-		ThreadsPerCore: 2,
-		TLB: TLBSpec{
-			Entries4K:       1536,
-			Entries2M:       1536,
-			Entries1G:       16,
-			MissCostNs:      60,
-			AccessesPerByte: 1.0 / 64.0,
-		},
-		CoreFreqGHz: 2.4,
-	}
-	total := 2 * coresPerSocket
-	for c := 0; c < total; c++ {
-		socket := c / coresPerSocket
-		core := CoreSpec{ID: c, Domain: socket}
-		for t := 0; t < n.ThreadsPerCore; t++ {
-			core.CPUs = append(core.CPUs, c+t*total)
-		}
-		n.Cores = append(n.Cores, core)
-	}
-	for s := 0; s < 2; s++ {
-		dom := DomainSpec{
-			ID: s,
-			Mem: MemDeviceSpec{
-				Kind:            DDR4,
-				Capacity:        memPerSocket,
-				StreamBandwidth: 110,
-				LoadLatency:     90,
-			},
-		}
-		for _, core := range n.Cores {
-			if core.Domain == s {
-				dom.CPUs = append(dom.CPUs, core.CPUs...)
-			}
-		}
-		n.Domains = append(n.Domains, dom)
-	}
-	n.Distance = [][]int{{10, 21}, {21, 10}}
-	return n
-}

@@ -82,18 +82,6 @@ func (n *NodeSpec) DomainsOfKind(kind MemKind) []int {
 	return out
 }
 
-// TotalCapacity returns the summed capacity in bytes of all domains of the
-// given kind.
-func (n *NodeSpec) TotalCapacity(kind MemKind) int64 {
-	var total int64
-	for _, d := range n.Domains {
-		if d.Mem.Kind == kind {
-			total += d.Mem.Capacity
-		}
-	}
-	return total
-}
-
 // CoreOfCPU returns the physical core owning the given logical CPU.
 func (n *NodeSpec) CoreOfCPU(cpu int) (*CoreSpec, error) {
 	for i := range n.Cores {
@@ -104,15 +92,6 @@ func (n *NodeSpec) CoreOfCPU(cpu int) (*CoreSpec, error) {
 		}
 	}
 	return nil, fmt.Errorf("hw: node %s has no logical CPU %d", n.Name, cpu)
-}
-
-// DomainOfCPU returns the NUMA domain id of a logical CPU.
-func (n *NodeSpec) DomainOfCPU(cpu int) (int, error) {
-	core, err := n.CoreOfCPU(cpu)
-	if err != nil {
-		return 0, err
-	}
-	return core.Domain, nil
 }
 
 // NearestDomain returns, among candidate domain ids, the one with the

@@ -86,6 +86,3 @@ func (t *FDTable) Dup2(fd, target int) (int, error) {
 	t.open[target] = f
 	return target, nil
 }
-
-// Count returns the number of open descriptors.
-func (t *FDTable) Count() int { return len(t.open) }

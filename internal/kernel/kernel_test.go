@@ -112,9 +112,9 @@ func TestCapSet(t *testing.T) {
 	if !s.Has(CapFullFork) || !s.Has(CapMovePages) || s.Has(CapPtraceFull) {
 		t.Fatal("With/Has broken")
 	}
-	s2 := s.Without(CapFullFork)
-	if s2.Has(CapFullFork) || !s.Has(CapFullFork) {
-		t.Fatal("Without must not mutate the original")
+	s2 := s.With(CapPtraceFull)
+	if !s2.Has(CapPtraceFull) || s.Has(CapPtraceFull) {
+		t.Fatal("With must not mutate the original")
 	}
 }
 

@@ -46,15 +46,10 @@ type ProxyProcess struct {
 }
 
 // NewProcess builds a process on the given kernel. Kernels whose file
-// class is offloaded get a proxy-held descriptor table.
-func NewProcess(k Kernel, pid int, heapLimit int64) (*Process, error) {
-	return NewProcessWith(k, pid, heapLimit, nil)
-}
-
-// NewProcessWith is NewProcess with a trace sink attached before the heap is
-// created, so heap-engine and address-space counters cover the process's
-// whole lifetime. A nil sink gives exactly NewProcess's behaviour.
-func NewProcessWith(k Kernel, pid int, heapLimit int64, sink *trace.Sink) (*Process, error) {
+// class is offloaded get a proxy-held descriptor table. A non-nil sink is
+// attached before the heap is created, so heap-engine and address-space
+// counters cover the process's whole lifetime.
+func NewProcess(k Kernel, pid int, heapLimit int64, sink *trace.Sink) (*Process, error) {
 	as := mem.NewAddrSpace(k.Phys())
 	as.SetSink(sink)
 	h, err := k.NewHeap(as, heapLimit, nil)
@@ -264,10 +259,6 @@ func (p *Process) Getpid() int {
 	p.charge(SysGetpid, 0)
 	return p.PID
 }
-
-// OpenFiles returns the number of open descriptors, wherever the table
-// lives.
-func (p *Process) OpenFiles() int { return p.table().Count() }
 
 // Exit releases the process's memory.
 func (p *Process) Exit() {

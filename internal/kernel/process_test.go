@@ -64,8 +64,8 @@ func mustPolicy(t *testing.T, kind sched.Kind, costs Costs) sched.Policy {
 
 func TestFDTableBasics(t *testing.T) {
 	ft := NewFDTable()
-	if ft.Count() != 3 {
-		t.Fatalf("fresh table has %d fds, want stdio 3", ft.Count())
+	if len(ft.open) != 3 {
+		t.Fatalf("fresh table has %d fds, want stdio 3", len(ft.open))
 	}
 	fd := ft.Open("/tmp/x", 0)
 	if fd != 3 {
@@ -118,7 +118,7 @@ func TestFDTableDup2(t *testing.T) {
 func TestProcessProxyFDPlacement(t *testing.T) {
 	// File-offloading kernels hold the fd table in the proxy.
 	k := newTestKernel(t, true)
-	p, err := NewProcess(k, 1, hw.GiB)
+	p, err := NewProcess(k, 1, hw.GiB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestProcessProxyFDPlacement(t *testing.T) {
 
 	// Native kernels keep the table local.
 	kn := newTestKernel(t, false)
-	pn, err := NewProcess(kn, 2, hw.GiB)
+	pn, err := NewProcess(kn, 2, hw.GiB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestProcessProxyFDPlacement(t *testing.T) {
 
 func TestProcessFileOpsChargeOffload(t *testing.T) {
 	k := newTestKernel(t, true)
-	p, _ := NewProcess(k, 1, hw.GiB)
+	p, _ := NewProcess(k, 1, hw.GiB, nil)
 	fd, _ := p.Open("/data", 0)
 	p.Read(fd, 4096)
 	p.Write(fd, 4096)
@@ -162,7 +162,7 @@ func TestProcessFileOpsChargeOffload(t *testing.T) {
 
 func TestProcessReadWriteAdvancePosition(t *testing.T) {
 	k := newTestKernel(t, true)
-	p, _ := NewProcess(k, 1, hw.GiB)
+	p, _ := NewProcess(k, 1, hw.GiB, nil)
 	fd, _ := p.Open("/data", 0)
 	p.Read(fd, 100)
 	p.Write(fd, 50)
@@ -177,7 +177,7 @@ func TestProcessReadWriteAdvancePosition(t *testing.T) {
 
 func TestProcessMmapChargesWork(t *testing.T) {
 	k := newTestKernel(t, false)
-	p, _ := NewProcess(k, 1, hw.GiB)
+	p, _ := NewProcess(k, 1, hw.GiB, nil)
 	before := p.SyscallTime
 	v, err := p.Mmap(64*hw.MiB, mem.VMAAnon)
 	if err != nil {
@@ -194,7 +194,7 @@ func TestProcessMmapChargesWork(t *testing.T) {
 
 func TestProcessMunmapAndMprotect(t *testing.T) {
 	k := newTestKernel(t, false)
-	p, _ := NewProcess(k, 1, hw.GiB)
+	p, _ := NewProcess(k, 1, hw.GiB, nil)
 	v, _ := p.Mmap(8*hw.MiB, mem.VMAAnon)
 	if _, err := p.Mprotect(v, 2*hw.MiB, 2*hw.MiB, mem.ProtRead); err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestProcessMunmapAndMprotect(t *testing.T) {
 
 func TestProcessSbrk(t *testing.T) {
 	k := newTestKernel(t, false)
-	p, _ := NewProcess(k, 1, hw.GiB)
+	p, _ := NewProcess(k, 1, hw.GiB, nil)
 	size, err := p.Sbrk(4 * hw.MiB)
 	if err != nil || size != 4*hw.MiB {
 		t.Fatalf("sbrk: %d, %v", size, err)
@@ -221,7 +221,7 @@ func TestProcessSbrk(t *testing.T) {
 
 func TestProcessMovePagesUnsupported(t *testing.T) {
 	k := newTestKernel(t, false) // table marks move_pages unsupported
-	p, _ := NewProcess(k, 1, hw.GiB)
+	p, _ := NewProcess(k, 1, hw.GiB, nil)
 	v, _ := p.Mmap(8*hw.MiB, mem.VMAAnon)
 	if _, err := p.MovePages(v, []int{4}); err == nil {
 		t.Fatal("unsupported move_pages succeeded")
@@ -234,7 +234,7 @@ func TestProcessMovePagesUnsupported(t *testing.T) {
 func TestProcessMovePagesSupported(t *testing.T) {
 	k := newTestKernel(t, false)
 	k.KTable.Set(SysMovePages, Native)
-	p, _ := NewProcess(k, 1, hw.GiB)
+	p, _ := NewProcess(k, 1, hw.GiB, nil)
 	v, _ := p.Mmap(8*hw.MiB, mem.VMAAnon)
 	w, err := p.MovePages(v, []int{4})
 	if err != nil {
@@ -250,7 +250,7 @@ func TestProcessMovePagesSupported(t *testing.T) {
 
 func TestProcessSetMempolicy(t *testing.T) {
 	k := newTestKernel(t, false)
-	p, _ := NewProcess(k, 1, hw.GiB)
+	p, _ := NewProcess(k, 1, hw.GiB, nil)
 	if _, err := p.SetMempolicy(nil, []int{4}); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestProcessSetMempolicy(t *testing.T) {
 
 func TestProcessExitReleasesMemory(t *testing.T) {
 	k := newTestKernel(t, false)
-	p, _ := NewProcess(k, 1, hw.GiB)
+	p, _ := NewProcess(k, 1, hw.GiB, nil)
 	p.Mmap(32*hw.MiB, mem.VMAAnon)
 	p.Exit()
 	for d := 0; d < 8; d++ {
@@ -278,7 +278,7 @@ func TestProcessExitReleasesMemory(t *testing.T) {
 
 func TestProcessGetpidAndYield(t *testing.T) {
 	k := newTestKernel(t, false)
-	p, _ := NewProcess(k, 7, hw.GiB)
+	p, _ := NewProcess(k, 7, hw.GiB, nil)
 	if p.Getpid() != 7 {
 		t.Fatal("pid")
 	}
@@ -290,7 +290,7 @@ func TestProcessGetpidAndYield(t *testing.T) {
 
 func TestProcessMremap(t *testing.T) {
 	k := newTestKernel(t, false)
-	p, _ := NewProcess(k, 1, hw.GiB)
+	p, _ := NewProcess(k, 1, hw.GiB, nil)
 	v, _ := p.Mmap(4*hw.MiB, mem.VMAAnon)
 	if err := p.Mremap(v, 8*hw.MiB); err != nil {
 		t.Fatal(err)

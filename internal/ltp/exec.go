@@ -44,7 +44,7 @@ func RunExecutable(id string, k kernel.Kernel) (ExecOutcome, bool) {
 	if !ok {
 		return ExecOutcome{}, false
 	}
-	p, err := kernel.NewProcess(k, 4242, hw.GiB)
+	p, err := kernel.NewProcess(k, 4242, hw.GiB, nil)
 	if err != nil {
 		return ExecOutcome{Pass: false, Detail: "process setup: " + err.Error()}, true
 	}

@@ -248,24 +248,6 @@ func faultKey(p hw.PageSize) trace.Key {
 // VMAs returns the areas sorted by start address.
 func (as *AddrSpace) VMAs() []*VMA { return as.vmas }
 
-// MappedBytes returns the total virtual bytes mapped.
-func (as *AddrSpace) MappedBytes() int64 {
-	var t int64
-	for _, v := range as.vmas {
-		t += v.Size
-	}
-	return t
-}
-
-// PopulatedBytes returns the total physically backed bytes.
-func (as *AddrSpace) PopulatedBytes() int64 {
-	var t int64
-	for _, v := range as.vmas {
-		t += v.Populated
-	}
-	return t
-}
-
 // Map creates a new VMA of the given size. Size is rounded up to 4 KiB.
 // Upfront policies back the area immediately; demand policies leave it
 // unpopulated. An upfront mapping that cannot be fully backed fails unless

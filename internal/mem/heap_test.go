@@ -162,7 +162,7 @@ func TestHPCHeapZeroFirst4KOnly(t *testing.T) {
 func TestHPCHeapIgnoresShrink(t *testing.T) {
 	h := newHPCHeap(t, DefaultHPCHeapConfig(nil))
 	h.Sbrk(8 * hw.MiB)
-	reserved := h.Reserved()
+	reserved := h.reserved
 	size, w, err := h.Sbrk(-4 * hw.MiB)
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +175,8 @@ func TestHPCHeapIgnoresShrink(t *testing.T) {
 	if w.FreedBytes != 0 {
 		t.Fatalf("ignored shrink freed %d", w.FreedBytes)
 	}
-	if h.Reserved() != reserved {
-		t.Fatalf("reserved changed: %d -> %d", reserved, h.Reserved())
+	if h.reserved != reserved {
+		t.Fatalf("reserved changed: %d -> %d", reserved, h.reserved)
 	}
 	if h.Stats().Shrinks != 1 {
 		t.Fatal("shrink not counted")
@@ -209,7 +209,7 @@ func TestHPCHeapAggressiveOverReserves(t *testing.T) {
 	if w.AllocatedBytes != 0 {
 		t.Fatalf("aggressive heap allocated %d on small regrow", w.AllocatedBytes)
 	}
-	if h.Reserved() < h.Size() {
+	if h.reserved < h.Size() {
 		t.Fatal("reserved below size")
 	}
 }

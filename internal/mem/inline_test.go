@@ -272,8 +272,8 @@ func TestInlineSlotsOverflow(t *testing.T) {
 	if inline(mid) || mid.Start != first[1].Start+4*hw.MiB || mid.Size != 4*hw.MiB || mid.Prot != ProtRead {
 		t.Fatalf("Protect split: inline %v, start %#x, size %d, prot %v", inline(mid), mid.Start, mid.Size, mid.Prot)
 	}
-	if len(as.VMAs()) != 6 || first[1].Size != 4*hw.MiB || as.PopulatedBytes() != 4*16*hw.MiB {
-		t.Fatalf("Protect split: %d areas, left size %d, populated %d", len(as.VMAs()), first[1].Size, as.PopulatedBytes())
+	if len(as.VMAs()) != 6 || first[1].Size != 4*hw.MiB || populatedBytes(as) != 4*16*hw.MiB {
+		t.Fatalf("Protect split: %d areas, left size %d, populated %d", len(as.VMAs()), first[1].Size, populatedBytes(as))
 	}
 	checkSorted("Protect split")
 

@@ -112,14 +112,6 @@ func (r *Registry) Gauge(name string) int64 {
 	return r.gauges[name]
 }
 
-// HistNames returns the distribution names, sorted.
-func (r *Registry) HistNames() []string {
-	if r == nil {
-		return nil
-	}
-	return slices.Sorted(maps.Keys(r.hists))
-}
-
 // Merge folds every observation of o into r. Histograms and phases add
 // (associative, order-free); per-rank families merge rank-wise, growing as
 // needed; gauges are latest-value state, so o's value wins — merge in index

@@ -123,9 +123,6 @@ func (c *Comm) Bcast(bytes int64) CollResult {
 	}
 }
 
-// Reduce costs the same wire time as Bcast with the flow reversed.
-func (c *Comm) Reduce(bytes int64) CollResult { return c.Bcast(bytes) }
-
 // Allgather models recursive doubling with doubling payloads: total traffic
 // per rank is bytes*(ranks-1), latency log2(ranks).
 func (c *Comm) Allgather(bytesPerRank int64) CollResult {

@@ -82,9 +82,6 @@ func TestBcastCheaperThanAllreduce(t *testing.T) {
 	if c.Bcast(4096).Time >= c.Allreduce(4096).Time {
 		t.Fatal("bcast should cost less than allreduce")
 	}
-	if c.Reduce(4096).Time != c.Bcast(4096).Time {
-		t.Fatal("reduce should mirror bcast")
-	}
 }
 
 func TestAllgatherVolumeDominates(t *testing.T) {

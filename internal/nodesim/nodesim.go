@@ -159,7 +159,7 @@ func Run(cfg Config) (Result, error) {
 			tid := int32(r)
 			for step := 0; step < cfg.Steps; step++ {
 				// Compute, stretched by this core's noise.
-				detour := prof.DetourInTo(rng, core, cfg.ComputePerStep, sink)
+				detour := prof.DetourIn(rng, core, cfg.ComputePerStep, sink)
 				res.NoiseTotal += detour
 				sink.CountKey(trace.KeyNodesimNoiseNs, int64(detour))
 				sink.ObserveRank("nodesim.detour_ns", r, int64(detour))

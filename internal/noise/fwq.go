@@ -15,17 +15,13 @@ type FWQResult struct {
 
 // RunFWQ executes the Fixed Work Quanta benchmark: iters iterations of a
 // loop whose pure compute time is quantum, on the given core under the
-// given noise profile. Interference stretches individual iterations.
-func RunFWQ(rng *sim.RNG, p *Profile, core int, quantum sim.Duration, iters int) FWQResult {
-	return RunFWQTo(rng, p, core, quantum, iters, nil)
-}
-
-// RunFWQTo is RunFWQ with per-source detour attribution into a trace sink
-// (nil sink = exactly RunFWQ, same draws, same samples).
-func RunFWQTo(rng *sim.RNG, p *Profile, core int, quantum sim.Duration, iters int, sink *trace.Sink) FWQResult {
+// given noise profile. Interference stretches individual iterations. A
+// non-nil sink gets per-source detour attribution; the draws and samples
+// are the same with or without one.
+func RunFWQ(rng *sim.RNG, p *Profile, core int, quantum sim.Duration, iters int, sink *trace.Sink) FWQResult {
 	res := FWQResult{Quantum: quantum, Samples: make([]float64, iters)}
 	for i := 0; i < iters; i++ {
-		detour := p.DetourInTo(rng, core, quantum, sink)
+		detour := p.DetourIn(rng, core, quantum, sink)
 		if detour > 0 {
 			sink.CountKey(trace.KeyNoiseDetouredIters, 1)
 			// The detour distribution only has entries for iterations
@@ -77,7 +73,7 @@ type FTQResult struct {
 func RunFTQ(rng *sim.RNG, p *Profile, core int, window sim.Duration, iters int) FTQResult {
 	res := FTQResult{Window: window, Samples: make([]float64, iters)}
 	for i := 0; i < iters; i++ {
-		stolen := p.DetourIn(rng, core, window)
+		stolen := p.DetourIn(rng, core, window, nil)
 		if stolen > window {
 			stolen = window
 		}

@@ -11,29 +11,21 @@ import (
 // timestep would dominate the harness's own runtime).
 const exactMaxRanks = 1024
 
-// MaxDetour samples the worst per-rank interference over `ranks` ranks
+// MaxDetourRank samples the worst per-rank interference over `ranks` ranks
 // during a window — the quantity a globally synchronising collective
-// (MPI_Allreduce, barrier) absorbs every round. This is the mechanism of
-// the paper's Linux cliffs: each rank's detour distribution is unchanged as
-// the system grows, but the *maximum* over 131,072 ranks climbs into the
-// heavy tail.
+// (MPI_Allreduce, barrier) absorbs every round — and reports which rank
+// contributed it, the straggler the collective waited for. This is the
+// mechanism of the paper's Linux cliffs: each rank's detour distribution is
+// unchanged as the system grows, but the *maximum* over 131,072 ranks
+// climbs into the heavy tail.
 //
-// For small rank counts the maximum is sampled exactly (per-rank). For
-// large counts it uses the order-statistic identity max(X_1..X_K) ~
-// F^{-1}(U^{1/K}): one inverse-CDF draw per source component instead of K
-// samples. Per-source maxima are summed, a slight over-estimate of the true
-// max-of-sums that is conservative in the same direction for every kernel.
-func MaxDetour(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) sim.Duration {
-	d, _ := MaxDetourRank(rng, p, ranks, window)
-	return d
-}
-
-// MaxDetourRank is MaxDetour that also reports which rank contributed the
-// maximum — the straggler a collective waited for. On the exact per-rank
-// path the argmax is known; on the order-statistic path individual ranks are
-// never materialised, so the rank is -1 (source-level attribution only).
-// The sampling sequence is identical to MaxDetour's, so callers may switch
-// between them without perturbing the run.
+// For small rank counts the maximum is sampled exactly (per-rank), and the
+// argmax is known. For large counts it uses the order-statistic identity
+// max(X_1..X_K) ~ F^{-1}(U^{1/K}): one inverse-CDF draw per source
+// component instead of K samples. Per-source maxima are summed, a slight
+// over-estimate of the true max-of-sums that is conservative in the same
+// direction for every kernel. Individual ranks are never materialised on
+// that path, so the rank is -1 (source-level attribution only).
 func MaxDetourRank(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
 	if ranks <= 0 || window <= 0 {
 		return 0, -1
@@ -45,7 +37,7 @@ func MaxDetourRank(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (si
 			// Core index 1: a generic application core (core 0 is
 			// partitioned away from applications in all three
 			// kernels' deployments).
-			if d := p.DetourIn(rng, 1, window); d > max {
+			if d := p.DetourIn(rng, 1, window, nil); d > max {
 				max = d
 				argmax = r
 			}

@@ -42,14 +42,14 @@ func TestNormInvAgainstSampler(t *testing.T) {
 func TestMaxDetourZeroCases(t *testing.T) {
 	p := LinuxTuned()
 	rng := sim.NewRNG(1)
-	if MaxDetour(rng, p, 0, sim.Millisecond) != 0 {
+	if maxDetour(rng, p, 0, sim.Millisecond) != 0 {
 		t.Fatal("zero ranks")
 	}
-	if MaxDetour(rng, p, 64, 0) != 0 {
+	if maxDetour(rng, p, 64, 0) != 0 {
 		t.Fatal("zero window")
 	}
 	quiet := &Profile{Name: "quiet"}
-	if MaxDetour(rng, quiet, 1<<20, sim.Second) != 0 {
+	if maxDetour(rng, quiet, 1<<20, sim.Second) != 0 {
 		t.Fatal("quiet profile")
 	}
 }
@@ -63,7 +63,7 @@ func TestMaxDetourGrowsWithRanks(t *testing.T) {
 	med := func(ranks int) float64 {
 		var xs []float64
 		for i := 0; i < 200; i++ {
-			xs = append(xs, float64(MaxDetour(rng, p, ranks, window)))
+			xs = append(xs, float64(maxDetour(rng, p, ranks, window)))
 		}
 		return stats.Median(xs)
 	}
@@ -79,7 +79,7 @@ func TestMaxDetourLWKStaysTiny(t *testing.T) {
 	window := 10 * sim.Millisecond
 	var worst sim.Duration
 	for i := 0; i < 100; i++ {
-		if d := MaxDetour(rng, p, 131072, window); d > worst {
+		if d := maxDetour(rng, p, 131072, window); d > worst {
 			worst = d
 		}
 	}
@@ -99,7 +99,7 @@ func TestMaxDetourApproxConsistentWithExact(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		var xs []float64
 		for i := 0; i < 300; i++ {
-			xs = append(xs, float64(MaxDetour(rng, p, ranks, window)))
+			xs = append(xs, float64(maxDetour(rng, p, ranks, window)))
 		}
 		return stats.Median(xs)
 	}
@@ -121,7 +121,7 @@ func TestMaxDetourCoreFilteredSourceExcluded(t *testing.T) {
 		CoreFilter: func(core int) bool { return core == 0 },
 	}}}
 	rng := sim.NewRNG(6)
-	if d := MaxDetour(rng, p, 1<<20, 10*sim.Millisecond); d != 0 {
+	if d := maxDetour(rng, p, 1<<20, 10*sim.Millisecond); d != 0 {
 		t.Fatalf("filtered source leaked %v", d)
 	}
 }
@@ -135,10 +135,16 @@ func TestMaxDetourAtLeastSingleRankDetour(t *testing.T) {
 	var one, many float64
 	const n = 300
 	for i := 0; i < n; i++ {
-		one += float64(p.DetourIn(rng, 1, window))
-		many += float64(MaxDetour(rng, p, 65536, window))
+		one += float64(p.DetourIn(rng, 1, window, nil))
+		many += float64(maxDetour(rng, p, 65536, window))
 	}
 	if many <= one {
 		t.Fatalf("max over 64k ranks (%v) not above single rank (%v)", many/n, one/n)
 	}
+}
+
+// maxDetour is MaxDetourRank without the straggler rank.
+func maxDetour(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) sim.Duration {
+	d, _ := MaxDetourRank(rng, p, ranks, window)
+	return d
 }

@@ -167,16 +167,12 @@ type Profile struct {
 	Sources []Source
 }
 
-// DetourIn samples the total interference on one core during a window.
-func (p *Profile) DetourIn(rng *sim.RNG, core int, window sim.Duration) sim.Duration {
-	return p.DetourInTo(rng, core, window, nil)
-}
-
-// DetourInTo is DetourIn with per-source attribution into a trace sink: each
-// source that fires contributes to "noise.src.<name>_ns". The sampling
-// sequence is identical with and without a sink — the sink only observes —
-// so attaching one cannot perturb the run.
-func (p *Profile) DetourInTo(rng *sim.RNG, core int, window sim.Duration, sink *trace.Sink) sim.Duration {
+// DetourIn samples the total interference on one core during a window. A
+// non-nil sink gets per-source attribution: each source that fires
+// contributes to "noise.src.<name>_ns". The sampling sequence is identical
+// with and without a sink — the sink only observes — so attaching one
+// cannot perturb the run.
+func (p *Profile) DetourIn(rng *sim.RNG, core int, window sim.Duration, sink *trace.Sink) sim.Duration {
 	counting := sink.Counting()
 	var total sim.Duration
 	for i := range p.Sources {

@@ -85,7 +85,7 @@ func TestProfilesOrdering(t *testing.T) {
 		var total sim.Duration
 		r := rng.Split()
 		for i := 0; i < reps; i++ {
-			total += p.DetourIn(r, 1, window)
+			total += p.DetourIn(r, 1, window, nil)
 		}
 		return float64(total) / float64(reps*int(window))
 	}
@@ -120,7 +120,7 @@ func TestLinuxTailEventsExist(t *testing.T) {
 	window := 50 * sim.Millisecond
 	maxD := sim.Duration(0)
 	for i := 0; i < 5000; i++ {
-		if d := p.DetourIn(rng, 1, window); d > maxD {
+		if d := p.DetourIn(rng, 1, window, nil); d > maxD {
 			maxD = d
 		}
 	}
@@ -131,8 +131,8 @@ func TestLinuxTailEventsExist(t *testing.T) {
 
 func TestDeterministicSampling(t *testing.T) {
 	p := LinuxTuned()
-	a := p.DetourIn(sim.NewRNG(7), 1, sim.Second)
-	b := p.DetourIn(sim.NewRNG(7), 1, sim.Second)
+	a := p.DetourIn(sim.NewRNG(7), 1, sim.Second, nil)
+	b := p.DetourIn(sim.NewRNG(7), 1, sim.Second, nil)
 	if a != b {
 		t.Fatalf("same seed, different detours: %v vs %v", a, b)
 	}
@@ -141,8 +141,8 @@ func TestDeterministicSampling(t *testing.T) {
 func TestFWQSeparatesKernels(t *testing.T) {
 	rng := sim.NewRNG(8)
 	q := 1 * sim.Millisecond
-	lwk := RunFWQ(rng.Split(), McKernelProfile(), 1, q, 2000)
-	lin := RunFWQ(rng.Split(), LinuxTuned(), 1, q, 2000)
+	lwk := RunFWQ(rng.Split(), McKernelProfile(), 1, q, 2000, nil)
+	lin := RunFWQ(rng.Split(), LinuxTuned(), 1, q, 2000, nil)
 	if lwk.NoisePercent() >= lin.NoisePercent() {
 		t.Fatalf("FWQ: lwk %.4f%% >= linux %.4f%%", lwk.NoisePercent(), lin.NoisePercent())
 	}
@@ -152,7 +152,7 @@ func TestFWQSeparatesKernels(t *testing.T) {
 }
 
 func TestFWQSampleCountAndQuantum(t *testing.T) {
-	r := RunFWQ(sim.NewRNG(9), McKernelProfile(), 0, sim.Millisecond, 100)
+	r := RunFWQ(sim.NewRNG(9), McKernelProfile(), 0, sim.Millisecond, 100, nil)
 	if len(r.Samples) != 100 {
 		t.Fatalf("samples = %d", len(r.Samples))
 	}
@@ -188,7 +188,7 @@ func TestFTQLWKNearIdeal(t *testing.T) {
 
 func TestNoisePercentZeroOnQuiet(t *testing.T) {
 	quiet := &Profile{Name: "none"}
-	r := RunFWQ(sim.NewRNG(12), quiet, 0, sim.Millisecond, 50)
+	r := RunFWQ(sim.NewRNG(12), quiet, 0, sim.Millisecond, 50, nil)
 	if r.NoisePercent() != 0 {
 		t.Fatalf("quiet profile noise %v", r.NoisePercent())
 	}

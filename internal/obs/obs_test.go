@@ -264,7 +264,7 @@ func TestSLOEval(t *testing.T) {
 
 func TestOptionsNilSafe(t *testing.T) {
 	var o *Options
-	if o.TimelineOn() || o.DecisionsOn() || o.JobCountersOn() || o.JobEventsOn() || o.Enabled() {
+	if o.TimelineOn() || o.JobCountersOn() || o.JobEventsOn() || o.Enabled() {
 		t.Fatal("nil Options should disable everything")
 	}
 	if got := o.JobEventRingCap(); got != DefaultJobEventCap {

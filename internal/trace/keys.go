@@ -163,9 +163,3 @@ func (k Key) String() string {
 	}
 	return keyNames[k]
 }
-
-// LookupKey returns the interned key for a counter name, if one exists.
-func LookupKey(name string) (Key, bool) {
-	k, ok := keyByName[name]
-	return k, ok
-}

@@ -16,12 +16,12 @@ func TestKeyNamesComplete(t *testing.T) {
 			t.Fatalf("keys %d and %d share the name %q", prev, k, name)
 		}
 		seen[name] = k
-		if got, ok := LookupKey(name); !ok || got != k {
-			t.Fatalf("LookupKey(%q) = %v, %v; want %v, true", name, got, ok, k)
+		if got, ok := keyByName[name]; !ok || got != k {
+			t.Fatalf("keyByName[%q] = %v, %v; want %v, true", name, got, ok, k)
 		}
 	}
-	if _, ok := LookupKey("no.such.counter"); ok {
-		t.Fatal("LookupKey invented a key for an unknown name")
+	if _, ok := keyByName["no.such.counter"]; ok {
+		t.Fatal("keyByName invented a key for an unknown name")
 	}
 	if Key(-1).String() != "trace.Key(invalid)" {
 		t.Fatal("out-of-range Key.String")
@@ -38,8 +38,8 @@ func TestKeyedAndNamedPathsAgree(t *testing.T) {
 	if got := c.Get("heap.grows"); got != 5 {
 		t.Fatalf("heap.grows = %d, want 5", got)
 	}
-	if got := c.GetKey(KeyHeapGrows); got != 5 {
-		t.Fatalf("GetKey(KeyHeapGrows) = %d, want 5", got)
+	if got := c.keys[KeyHeapGrows]; got != 5 {
+		t.Fatalf("KeyHeapGrows = %d, want 5", got)
 	}
 	c.Max("heap.peak_bytes", 10)
 	c.MaxKey(KeyHeapPeakBytes, 7)
@@ -105,7 +105,7 @@ func TestMergeCrossesTiers(t *testing.T) {
 	b.AddKey(KeyOffloadCalls, 4)
 	b.Add("custom.counter", 2)
 	a.Merge(b)
-	if got := a.GetKey(KeyOffloadCalls); got != 7 {
+	if got := a.keys[KeyOffloadCalls]; got != 7 {
 		t.Fatalf("merged offload.calls = %d, want 7", got)
 	}
 	if got := a.Get("custom.counter"); got != 3 {
@@ -113,7 +113,7 @@ func TestMergeCrossesTiers(t *testing.T) {
 	}
 	// MergeMap routes interned names through the dense tier too.
 	a.MergeMap(map[string]int64{"offload.calls": 1, "custom.counter": 1})
-	if a.GetKey(KeyOffloadCalls) != 8 || a.Get("custom.counter") != 4 {
+	if a.keys[KeyOffloadCalls] != 8 || a.Get("custom.counter") != 4 {
 		t.Fatalf("MergeMap mismatch: %v", a.Map())
 	}
 }
@@ -133,7 +133,7 @@ func TestSinkCountKeyNilSafe(t *testing.T) {
 	ws := NewSink(c, nil)
 	ws.CountKey(KeyHeapGrows, 2)
 	ws.CountMaxKey(KeyHeapPeakBytes, 9)
-	if c.GetKey(KeyHeapGrows) != 2 || c.GetKey(KeyHeapPeakBytes) != 9 {
+	if c.keys[KeyHeapGrows] != 2 || c.keys[KeyHeapPeakBytes] != 9 {
 		t.Fatalf("sink keyed counting lost updates: %v", c.Map())
 	}
 }

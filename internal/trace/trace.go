@@ -109,14 +109,6 @@ func (s *Sink) Count(name string, delta int64) {
 	s.counters.Add(name, delta)
 }
 
-// CountMax raises the named counter to v if v is larger (peak accounting).
-func (s *Sink) CountMax(name string, v int64) {
-	if s == nil || s.counters == nil {
-		return
-	}
-	s.counters.Max(name, v)
-}
-
 // CountKey adds delta to an interned counter — the hot-path form of Count:
 // one pointer test plus one array index, no string hashing.
 func (s *Sink) CountKey(k Key, delta int64) {

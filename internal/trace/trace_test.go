@@ -9,7 +9,7 @@ import (
 func TestNilSinkIsSafeAndOff(t *testing.T) {
 	var s *Sink
 	s.Count("x", 1)
-	s.CountMax("x", 5)
+	s.CountMaxKey(KeyHeapPeakBytes, 5)
 	s.Begin(0, 0, 0, "a", "b")
 	s.End(1, 0, 0, "a", "b")
 	s.Instant(2, 0, 0, "a", "b", nil)

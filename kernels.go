@@ -101,7 +101,7 @@ func MeasureNoise(seed uint64, iterations int) []NoiseSample {
 	}
 	var out []NoiseSample
 	for _, e := range profiles {
-		r := noise.RunFWQ(rng.Split(), e.p, 1, sim.Millisecond, iterations)
+		r := noise.RunFWQ(rng.Split(), e.p, 1, sim.Millisecond, iterations, nil)
 		out = append(out, NoiseSample{
 			Kernel:            e.k,
 			NoisePercent:      r.NoisePercent(),
@@ -132,7 +132,7 @@ func NoiseSourceBreakdown(k Kernel, seed uint64, iterations int) (map[string]flo
 		return nil, fmt.Errorf("mklite: unknown kernel %q", string(k))
 	}
 	ctrs := trace.NewCounters()
-	noise.RunFWQTo(sim.NewRNG(seed), p, 1, sim.Millisecond, iterations, trace.NewSink(ctrs, nil))
+	noise.RunFWQ(sim.NewRNG(seed), p, 1, sim.Millisecond, iterations, trace.NewSink(ctrs, nil))
 	out := map[string]float64{}
 	for _, name := range ctrs.Names() {
 		src, ok := strings.CutPrefix(name, "noise.src.")
@@ -322,7 +322,7 @@ func MeasureNoiseDistributions(seed uint64, quantumSecs float64, iterations int)
 	var out []NoiseDistribution
 	for _, e := range profiles {
 		reg := metrics.NewRegistry()
-		noise.RunFWQTo(sim.NewRNG(seed), e.p, 1, quantum, iterations,
+		noise.RunFWQ(sim.NewRNG(seed), e.p, 1, quantum, iterations,
 			trace.NewSinkObs(nil, nil, reg))
 		h := reg.Histogram("fwq.detour_ns")
 		out = append(out, NoiseDistribution{
@@ -358,7 +358,7 @@ func NoiseSamplesMicros(k Kernel, seed uint64, iterations int) ([]float64, error
 	default:
 		return nil, fmt.Errorf("mklite: unknown kernel %q", string(k))
 	}
-	r := noise.RunFWQ(sim.NewRNG(seed), p, 1, sim.Millisecond, iterations)
+	r := noise.RunFWQ(sim.NewRNG(seed), p, 1, sim.Millisecond, iterations, nil)
 	return r.Samples, nil
 }
 
