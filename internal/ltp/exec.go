@@ -25,13 +25,6 @@ type ExecOutcome struct {
 // ExecFunc runs a conformance experiment against a live process.
 type ExecFunc func(p *kernel.Process) ExecOutcome
 
-// Executable returns the execution function for a case id, if the case has
-// executable semantics.
-func Executable(id string) (ExecFunc, bool) {
-	f, ok := execCases[id]
-	return f, ok
-}
-
 // ExecutableCaseIDs lists the cases with executable semantics, sorted.
 func ExecutableCaseIDs() []string {
 	return slices.Sorted(maps.Keys(execCases))

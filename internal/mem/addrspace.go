@@ -524,20 +524,7 @@ func (as *AddrSpace) PageMix() map[MixKey]float64 {
 	return out
 }
 
-// BytesByKind returns populated bytes per memory kind, with an entry for
-// every kind that holds any.
-func (as *AddrSpace) BytesByKind() map[hw.MemKind]int64 {
-	out := map[hw.MemKind]int64{}
-	for kind := range hw.MemKind(hw.NumMemKinds) {
-		if n := as.BytesOfKind(kind); n > 0 {
-			out[kind] = n
-		}
-	}
-	return out
-}
-
-// BytesOfKind returns the populated bytes in memory of the given kind,
-// without building BytesByKind's map.
+// BytesOfKind returns the populated bytes in memory of the given kind.
 func (as *AddrSpace) BytesOfKind(kind hw.MemKind) int64 {
 	var n int64
 	for _, v := range as.vmas {

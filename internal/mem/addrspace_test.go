@@ -41,7 +41,7 @@ func TestMapMCDRAMFirstThenSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := as.BytesByKind()
+	kinds := bytesByKind(as)
 	if kinds[hw.MCDRAM] != 16*hw.GiB {
 		t.Fatalf("MCDRAM bytes = %d, want all 16 GiB", kinds[hw.MCDRAM])
 	}
@@ -232,10 +232,10 @@ func TestTwoSpacesCompeteForMCDRAM(t *testing.T) {
 	if _, err := b.Map(8*hw.GiB, VMAAnon, lwkPolicy()); err != nil {
 		t.Fatal(err)
 	}
-	if a.BytesByKind()[hw.MCDRAM] != 16*hw.GiB {
+	if bytesByKind(a)[hw.MCDRAM] != 16*hw.GiB {
 		t.Fatal("first space did not get all MCDRAM")
 	}
-	if b.BytesByKind()[hw.MCDRAM] != 0 {
+	if bytesByKind(b)[hw.MCDRAM] != 0 {
 		t.Fatal("second space got MCDRAM that should be exhausted")
 	}
 }
@@ -254,8 +254,8 @@ func TestDemandSharesMCDRAMBetweenSpaces(t *testing.T) {
 		a.Touch(va, 0, off+hw.GiB)
 		b.Touch(vb, 0, off+hw.GiB)
 	}
-	am := a.BytesByKind()[hw.MCDRAM]
-	bm := b.BytesByKind()[hw.MCDRAM]
+	am := bytesByKind(a)[hw.MCDRAM]
+	bm := bytesByKind(b)[hw.MCDRAM]
 	if am == 0 || bm == 0 {
 		t.Fatalf("demand paging did not share MCDRAM: a=%d b=%d", am, bm)
 	}
@@ -347,4 +347,16 @@ func populatedBytes(as *AddrSpace) int64 {
 		t += v.Populated
 	}
 	return t
+}
+
+// bytesByKind returns populated bytes per memory kind, with an entry for
+// every kind that holds any.
+func bytesByKind(as *AddrSpace) map[hw.MemKind]int64 {
+	out := map[hw.MemKind]int64{}
+	for kind := range hw.MemKind(hw.NumMemKinds) {
+		if n := as.BytesOfKind(kind); n > 0 {
+			out[kind] = n
+		}
+	}
+	return out
 }

@@ -77,9 +77,8 @@ func TestMCDRAMSpillToDDR(t *testing.T) {
 	if v.Populated != 20*hw.GiB {
 		t.Fatal("mapping not fully backed")
 	}
-	kinds := as.BytesByKind()
-	if kinds[hw.MCDRAM] == 0 || kinds[hw.DDR4] == 0 {
-		t.Fatalf("no spill: %v", kinds)
+	if mc, ddr := as.BytesOfKind(hw.MCDRAM), as.BytesOfKind(hw.DDR4); mc == 0 || ddr == 0 {
+		t.Fatalf("no spill: %d MCDRAM, %d DDR4 bytes", mc, ddr)
 	}
 }
 
