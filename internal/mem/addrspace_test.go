@@ -41,12 +41,11 @@ func TestMapMCDRAMFirstThenSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := bytesByKind(as)
-	if kinds[hw.MCDRAM] != 16*hw.GiB {
-		t.Fatalf("MCDRAM bytes = %d, want all 16 GiB", kinds[hw.MCDRAM])
+	if mc := as.BytesOfKind(hw.MCDRAM); mc != 16*hw.GiB {
+		t.Fatalf("MCDRAM bytes = %d, want all 16 GiB", mc)
 	}
-	if kinds[hw.DDR4] != 4*hw.GiB {
-		t.Fatalf("DDR4 bytes = %d, want 4 GiB spill", kinds[hw.DDR4])
+	if ddr := as.BytesOfKind(hw.DDR4); ddr != 4*hw.GiB {
+		t.Fatalf("DDR4 bytes = %d, want 4 GiB spill", ddr)
 	}
 	_ = v
 }
@@ -210,7 +209,7 @@ func TestReleaseAll(t *testing.T) {
 		}
 	}
 	as.ReleaseAll()
-	if mappedBytes(as) != 0 || populatedBytes(as) != 0 {
+	if len(as.VMAs()) != 0 {
 		t.Fatal("ReleaseAll left mappings")
 	}
 	for d := 0; d < 8; d++ {
@@ -232,10 +231,10 @@ func TestTwoSpacesCompeteForMCDRAM(t *testing.T) {
 	if _, err := b.Map(8*hw.GiB, VMAAnon, lwkPolicy()); err != nil {
 		t.Fatal(err)
 	}
-	if bytesByKind(a)[hw.MCDRAM] != 16*hw.GiB {
+	if a.BytesOfKind(hw.MCDRAM) != 16*hw.GiB {
 		t.Fatal("first space did not get all MCDRAM")
 	}
-	if bytesByKind(b)[hw.MCDRAM] != 0 {
+	if b.BytesOfKind(hw.MCDRAM) != 0 {
 		t.Fatal("second space got MCDRAM that should be exhausted")
 	}
 }
@@ -254,8 +253,8 @@ func TestDemandSharesMCDRAMBetweenSpaces(t *testing.T) {
 		a.Touch(va, 0, off+hw.GiB)
 		b.Touch(vb, 0, off+hw.GiB)
 	}
-	am := bytesByKind(a)[hw.MCDRAM]
-	bm := bytesByKind(b)[hw.MCDRAM]
+	am := a.BytesOfKind(hw.MCDRAM)
+	bm := b.BytesOfKind(hw.MCDRAM)
 	if am == 0 || bm == 0 {
 		t.Fatalf("demand paging did not share MCDRAM: a=%d b=%d", am, bm)
 	}
@@ -322,41 +321,11 @@ func TestVMAKindStrings(t *testing.T) {
 func TestMappedAndPopulatedBytes(t *testing.T) {
 	as := NewAddrSpace(newKNLPhys())
 	v, _ := as.Map(4*hw.MiB, VMAAnon, Policy{Domains: []int{0}, MaxPage: hw.Page4K, Demand: true})
-	if mappedBytes(as) != 4*hw.MiB {
-		t.Fatalf("mapped = %d", mappedBytes(as))
+	if v.Size != 4*hw.MiB {
+		t.Fatalf("mapped = %d", v.Size)
 	}
 	as.Touch(v, 0, 1*hw.MiB)
-	if populatedBytes(as) != 1*hw.MiB {
-		t.Fatalf("populated = %d", populatedBytes(as))
+	if v.Populated != 1*hw.MiB {
+		t.Fatalf("populated = %d", v.Populated)
 	}
-}
-
-// mappedBytes returns the total virtual bytes as maps.
-func mappedBytes(as *AddrSpace) int64 {
-	var t int64
-	for _, v := range as.vmas {
-		t += v.Size
-	}
-	return t
-}
-
-// populatedBytes returns the total physically backed bytes of as.
-func populatedBytes(as *AddrSpace) int64 {
-	var t int64
-	for _, v := range as.vmas {
-		t += v.Populated
-	}
-	return t
-}
-
-// bytesByKind returns populated bytes per memory kind, with an entry for
-// every kind that holds any.
-func bytesByKind(as *AddrSpace) map[hw.MemKind]int64 {
-	out := map[hw.MemKind]int64{}
-	for kind := range hw.MemKind(hw.NumMemKinds) {
-		if n := as.BytesOfKind(kind); n > 0 {
-			out[kind] = n
-		}
-	}
-	return out
 }

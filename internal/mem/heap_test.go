@@ -234,8 +234,7 @@ func TestHPCHeapGrowReusesRetainedMemory(t *testing.T) {
 func TestHPCHeapPreferredDomainsMCDRAM(t *testing.T) {
 	h := newHPCHeap(t, DefaultHPCHeapConfig(nil))
 	h.Sbrk(64 * hw.MiB)
-	kinds := bytesByKind(h.as)
-	if kinds[hw.MCDRAM] == 0 {
+	if h.as.BytesOfKind(hw.MCDRAM) == 0 {
 		t.Fatal("HPC heap did not allocate from MCDRAM first")
 	}
 }

@@ -338,3 +338,12 @@ func BenchmarkMapSetupImage(b *testing.B) {
 		mapImage(b, &spaces[i%batch], ws, heap, shm)
 	}
 }
+
+// populatedBytes returns the total physically backed bytes of as.
+func populatedBytes(as *AddrSpace) int64 {
+	var t int64
+	for _, v := range as.vmas {
+		t += v.Populated
+	}
+	return t
+}

@@ -145,8 +145,8 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // between runs. The engine remains usable afterwards; the clock does not
 // move.
 func (e *Engine) Drain() {
-	// Clearing the queue nils the stored slots: the old truncate-in-place
-	// retained every closure in the backing array.
+	// Clearing the queue nils the stored slots, so no drained closure
+	// stays reachable from the backing arrays.
 	e.events.clear()
 	live := make([]*Proc, 0, len(e.procs))
 	//mklint:ignore maprange collection order is erased by the spawn-sequence sort below
