@@ -98,8 +98,12 @@ func TestDomainOfCPU(t *testing.T) {
 	n := KNL7250SNC4()
 	// Core 0 is in quadrant 0; core 17 in quadrant 1.
 	for _, c := range []struct{ cpu, domain int }{{0, 0}, {17, 1}, {67, 3}} {
-		if core, err := n.CoreOfCPU(c.cpu); err != nil || core.Domain != c.domain {
-			t.Fatalf("CPU %d in domain %v (%v), want %d", c.cpu, core, err, c.domain)
+		core, err := n.CoreOfCPU(c.cpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if core.Domain != c.domain {
+			t.Fatalf("CPU %d in domain %d, want %d", c.cpu, core.Domain, c.domain)
 		}
 	}
 }
