@@ -158,13 +158,11 @@ func main() {
 	}
 	if sel("ccsqcd-ddr") {
 		// Part of the Figure 5a discussion: McKernel DDR4-only run.
-		res, err := mklite.Run("ccs-qcd", mklite.McKernel, ddrNodes(cfg), cfg.Seed, nil)
-		check(err)
-		ddr, err := mklite.Run("ccs-qcd", mklite.McKernel, ddrNodes(cfg), cfg.Seed, &mklite.Options{ForceDDROnly: true})
+		res, err := mklite.ReproduceCCSQCDDDROnly(cfg)
 		check(err)
 		fmt.Println("==== Section IV: CCS-QCD on McKernel, DDR4-only vs MCDRAM spill ====")
 		fmt.Printf("(paper: ~5%% slowdown at 2,048 nodes)\nspill %.4g vs DDR-only %.4g: %.1f%% slowdown\n\n",
-			res.FOM, ddr.FOM, (1-ddr.FOM/res.FOM)*100)
+			res.SpillFOM, res.DDROnlyFOM, res.SlowdownPercent)
 	}
 	if sel("corespec") {
 		rows, err := mklite.ReproduceCoreSpecialization(cfg)
@@ -237,13 +235,6 @@ func printCounters(fig mklite.Figure) {
 		fmt.Printf("metrics profile across all %s runs:\n", fig.ID)
 		fmt.Print(fig.MetricsText)
 	}
-}
-
-func ddrNodes(cfg mklite.ExperimentConfig) int {
-	if cfg.Quick {
-		return 64
-	}
-	return 2048
 }
 
 func check(err error) {

@@ -1,6 +1,6 @@
 // Command mkobs reads mklite's observation artifacts (see
 // docs/OBSERVABILITY.md). The commands that run things record them: mkrun
-// writes a run's trace, counters, metrics and flame graph, and mkfleet
+// writes a run's trace, counters and metrics, and mkfleet
 // writes a facility run's timeline, decision log and -json result. Every
 // artifact but the fleet result names its format in a schema field, and
 // validate, diff, report and flame dispatch on that field:

@@ -7,10 +7,11 @@
 //	mkrun -app lulesh2.0 -compare -nodes 64
 //	mkrun -app ccs-qcd -kernel mckernel -nodes 2048 -ddr-only
 //	mkrun -app minife -nodes 16 -trace-json run.trace.json -counters-json run.counters.json
-//	mkrun -app minife -nodes 16 -metrics-json run.metrics.json -flame run.folded
+//	mkrun -app minife -nodes 16 -metrics-json run.metrics.json
 //
 // mkrun is the single-run recorder of the observation artifacts that mkobs
-// reads (see docs/OBSERVABILITY.md). -cpuprofile profiles the simulator
+// reads (see docs/OBSERVABILITY.md); mkobs flame turns a -trace-json file
+// into a folded-stack flame graph. -cpuprofile profiles the simulator
 // itself and is the only wall-clock-dependent output; every artifact is
 // virtual time and byte-deterministic.
 package main
@@ -52,7 +53,6 @@ func main() {
 		metricsF  = cliflags.Metrics(flag.CommandLine)
 		metricsJ  = flag.String("metrics-json", "", "write the run's mklite-metrics/v1 JSON report to this file (implies -metrics)")
 		traceOut  = flag.String("trace-json", "", "write the run's mklite-trace/v1 Chrome trace-event JSON to this file")
-		flameOut  = flag.String("flame", "", "write the run's virtual-time folded-stack flame graph to this file")
 		cpuprof   = flag.String("cpuprofile", "", "write a Go CPU profile of the simulator itself to this file")
 		faults    = cliflags.Faults(flag.CommandLine)
 		list      = flag.Bool("list", false, "list applications and exit")
@@ -96,7 +96,6 @@ func main() {
 			Counters: *counters || *countersJ != "",
 			Metrics:  *metricsF || *metricsJ != "",
 			Events:   *traceOut != "",
-			Flame:    *flameOut != "",
 		},
 	}
 	if *faults != "" {
@@ -175,9 +174,6 @@ func main() {
 	}
 	if *metricsJ != "" {
 		writeArtifact(*metricsJ, r.MetricsJSON)
-	}
-	if *flameOut != "" {
-		writeArtifact(*flameOut, []byte(r.Folded))
 	}
 	if *jsonOut {
 		emitJSON(r)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mklite/internal/apps"
+	"mklite/internal/cluster"
 	"mklite/internal/experiments"
 	"mklite/internal/fault"
 	"mklite/internal/ltp"
@@ -294,7 +295,7 @@ func EvaluateLTPCase(id string, k Kernel) (pass bool, reason string, err error) 
 		if err != nil {
 			return false, "", err
 		}
-		kern, err := bootForType(kt)
+		kern, err := cluster.Boot(kt)
 		if err != nil {
 			return false, "", err
 		}
@@ -350,6 +351,22 @@ func ReproduceProxyOptions(cfg ExperimentConfig) ([]ProxyOptionReport, error) {
 		out = append(out, ProxyOptionReport(r))
 	}
 	return out, nil
+}
+
+// CCSQCDDDROnlyReport compares McKernel's MCDRAM-spill CCS-QCD run against
+// a DDR4-only run (median FOM over the configured repetitions).
+type CCSQCDDDROnlyReport struct {
+	Nodes           int
+	SpillFOM        float64
+	DDROnlyFOM      float64
+	SlowdownPercent float64
+}
+
+// ReproduceCCSQCDDDROnly runs the section IV DDR4-only comparison ("~5%
+// slowdown when running on 2,048 nodes"; 64 nodes in quick mode).
+func ReproduceCCSQCDDDROnly(cfg ExperimentConfig) (CCSQCDDDROnlyReport, error) {
+	r, err := experiments.CCSQCDDDROnly(cfg.internal())
+	return CCSQCDDDROnlyReport(r), err
 }
 
 // AblationReport carries the design-space microbenchmarks.

@@ -4,7 +4,7 @@
 // text — so the commands cannot drift apart and a new cross-cutting flag
 // (such as -sched) is added in one place. Flags unique to a single command
 // stay in that command, including the artifact-recording flags: mkrun
-// records single runs (-trace-json, -counters-json, -metrics-json, -flame)
+// records single runs (-trace-json, -counters-json, -metrics-json)
 // and mkfleet facility runs (-obs-*). mkobs only reads artifacts and
 // declares no run flags.
 package cliflags

@@ -19,7 +19,6 @@ import (
 	"mklite/internal/fabric"
 	"mklite/internal/fault"
 	"mklite/internal/hw"
-	"mklite/internal/ihk"
 	"mklite/internal/kernel"
 	"mklite/internal/linuxos"
 	"mklite/internal/mckernel"
@@ -184,20 +183,19 @@ func bootKernel(j Job) (kernel.Kernel, error) {
 	case kernel.TypeLinux:
 		return linuxos.Boot(node, *j.Linux)
 	case kernel.TypeMcKernel:
-		lin, err := linuxos.Boot(node, linuxos.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		g, err := ihk.Reserve(lin, ihk.DefaultReserveOptions())
-		if err != nil {
-			return nil, err
-		}
-		return mckernel.Boot(lin, g, *j.McK)
+		k, _, err := mckernel.Deploy(node, *j.McK)
+		return k, err
 	case kernel.TypeMOS:
 		return mos.Boot(node, *j.MOS)
 	default:
 		return nil, fmt.Errorf("cluster: unknown kernel type %v", j.Kernel)
 	}
+}
+
+// Boot boots a default-configured kernel of type kt on a fresh SNC-4 KNL
+// node, exactly as a job with no OS configuration of its own would.
+func Boot(kt kernel.Type) (kernel.Kernel, error) {
+	return bootKernel(Job{Kernel: kt}.normalized())
 }
 
 // Run executes the job and returns its result. It is the

@@ -144,13 +144,6 @@ func TestDomainListsDoNotAlias(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/ddronly=%v", sk.name, ddrOnly), func(t *testing.T) {
 				j := setupJob(sk.typ)
 				j.ForceDDROnly = ddrOnly
-				if sk.typ == kernel.TypeLinux {
-					// A preferred domain makes Linux build its
-					// MapPolicy list with spare capacity.
-					cfg := *j.Linux
-					cfg.PreferredDomain = 4
-					j.Linux = &cfg
-				}
 				ks := bootN(t, j, 2)
 				k := ks[0]
 				node := k.Partition().Node

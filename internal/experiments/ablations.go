@@ -5,11 +5,11 @@ import (
 	"maps"
 	"slices"
 
-	"mklite/internal/hw"
+	"mklite/internal/cluster"
 	"mklite/internal/ihk"
 	"mklite/internal/kernel"
-	"mklite/internal/linuxos"
 	"mklite/internal/noise"
+	"mklite/internal/sched"
 	"mklite/internal/sim"
 	"mklite/internal/stats"
 )
@@ -65,14 +65,19 @@ func Ablations(cfg Config) (AblationResults, error) {
 	for i := range tasks {
 		tasks[i] = 50 * sim.Millisecond
 	}
-	res.SchedulerMakespan["cooperative-lwk"] =
-		kernel.RunSchedule(tasks, kernel.CooperativeLWK(kernel.McKernelCosts())).Makespan
-	res.SchedulerMakespan["time-shared-linux"] =
-		kernel.RunSchedule(tasks, kernel.TimeSharing(kernel.LinuxCosts(), 10*sim.Millisecond, 4*sim.Millisecond)).Makespan
+	res.SchedulerMakespan["cooperative-lwk"] = sched.Run(tasks, sched.Coop,
+		sched.Params{ContextSwitch: kernel.McKernelCosts().ContextSwitch}, 0).Makespan
+	linCosts := kernel.LinuxCosts()
+	res.SchedulerMakespan["time-shared-linux"] = sched.Run(tasks, sched.CFS, sched.Params{
+		Quantum:       10 * sim.Millisecond,
+		ContextSwitch: linCosts.ContextSwitch,
+		TickPeriod:    4 * sim.Millisecond,
+		TickOverhead:  linCosts.TickOverhead,
+	}, 0).Makespan
 
 	// IKC queueing: all 64 LWK cores offload simultaneously into one
 	// proxy worker.
-	lin, err := linuxos.Boot(hw.KNL7250SNC4(), linuxos.DefaultConfig())
+	lin, err := cluster.Boot(kernel.TypeLinux)
 	if err != nil {
 		return res, err
 	}

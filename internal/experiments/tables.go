@@ -74,16 +74,7 @@ func TableI(cfg Config) ([]TableIRow, *stats.Table, error) {
 func LTPResults(workers int) ([]ltp.Report, *stats.Table, error) {
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
 	reports, err := par.Map(workers, len(kts), func(i int) (ltp.Report, error) {
-		var k kernel.Kernel
-		var err error
-		switch kts[i] {
-		case kernel.TypeLinux:
-			k, err = linuxos.Boot(hw.KNL7250SNC4(), linuxos.DefaultConfig())
-		case kernel.TypeMcKernel:
-			k, _, err = mckernel.Deploy(hw.KNL7250SNC4(), mckernel.DefaultOptions())
-		default:
-			k, err = mos.Boot(hw.KNL7250SNC4(), mos.DefaultConfig())
-		}
+		k, err := cluster.Boot(kts[i])
 		if err != nil {
 			return ltp.Report{}, err
 		}
@@ -337,16 +328,7 @@ type BrkTraceS30Result struct {
 // The caller owns the returned process (and must Exit it); faultWork is the
 // demand-fault work the application's first touches generated.
 func replayBrkS30(kt kernel.Type, sink *trace.Sink) (*kernel.Process, kernel.Kernel, mem.Work, error) {
-	var k kernel.Kernel
-	var err error
-	switch kt {
-	case kernel.TypeLinux:
-		k, err = linuxos.Boot(hw.KNL7250SNC4(), linuxos.DefaultConfig())
-	case kernel.TypeMcKernel:
-		k, _, err = mckernel.Deploy(hw.KNL7250SNC4(), mckernel.DefaultOptions())
-	default:
-		k, err = mos.Boot(hw.KNL7250SNC4(), mos.DefaultConfig())
-	}
+	k, err := cluster.Boot(kt)
 	if err != nil {
 		return nil, nil, mem.Work{}, err
 	}

@@ -98,14 +98,6 @@ type Config struct {
 	// ArrivalMean is the mean of the exponential interarrival gap; 0
 	// selects DefaultArrivalMean.
 	ArrivalMean sim.Duration
-	// MaxJobNodes caps the per-job node count draw; 0 selects
-	// DefaultMaxJobNodes. Draws are further capped at Nodes so every job
-	// fits the facility.
-	MaxJobNodes int
-	// MinTimesteps/MaxTimesteps bound the per-job timestep budget draw;
-	// zero selects DefaultMinTimesteps/DefaultMaxTimesteps.
-	MinTimesteps int
-	MaxTimesteps int
 	// Counters merges every job's cluster-level mechanism counters (one
 	// trace.Counters per job, created inside the worker closure, merged in
 	// job order after the join) into Result.Counters.
@@ -124,7 +116,10 @@ type Config struct {
 	SLO *obs.SLO
 }
 
-// Defaults for the zero-valued Config knobs.
+// Defaults for the zero-valued Config knobs, and the job stream's draw
+// bounds: a job's node count is capped at DefaultMaxJobNodes (and at Nodes,
+// so every job fits the facility), and its timestep budget is drawn from
+// [DefaultMinTimesteps, DefaultMaxTimesteps].
 const (
 	DefaultBackfillDepth = 32
 	DefaultShare         = 1
@@ -159,21 +154,6 @@ func (c Config) normalize() Config {
 	}
 	if c.ArrivalMean <= 0 {
 		c.ArrivalMean = DefaultArrivalMean
-	}
-	if c.MaxJobNodes <= 0 {
-		c.MaxJobNodes = DefaultMaxJobNodes
-	}
-	if c.MaxJobNodes > c.Nodes {
-		c.MaxJobNodes = c.Nodes
-	}
-	if c.MinTimesteps <= 0 {
-		c.MinTimesteps = DefaultMinTimesteps
-	}
-	if c.MaxTimesteps < c.MinTimesteps {
-		c.MaxTimesteps = DefaultMaxTimesteps
-	}
-	if c.MaxTimesteps < c.MinTimesteps {
-		c.MaxTimesteps = c.MinTimesteps
 	}
 	return c
 }

@@ -119,8 +119,8 @@ func (s *Scheduler) run(stream []*Job) (*Result, error) {
 		}
 		if t == sim.Never {
 			// Queue non-empty with nothing running and nothing arriving:
-			// the head must fit an empty facility (normalize caps
-			// MaxJobNodes at Nodes), so this is unreachable.
+			// the head must fit an empty facility (the job stream caps
+			// node counts at Nodes), so this is unreachable.
 			return nil, fmt.Errorf("fleet: scheduler stuck with %d queued jobs", len(s.queue))
 		}
 
@@ -192,7 +192,6 @@ func (s *Scheduler) launch(batch []*launch) error {
 	workers := s.cfg.Workers
 	counting := s.cfg.Counters || s.cfg.Observe.JobCountersOn()
 	eventing := s.cfg.Observe.JobEventsOn()
-	ringCap := s.cfg.Observe.JobEventRingCap()
 	outs, err := par.Map(workers, len(batch), func(i int) (runOut, error) {
 		l := batch[i]
 		var c *trace.Counters
@@ -201,7 +200,7 @@ func (s *Scheduler) launch(batch []*launch) error {
 		}
 		var ev *trace.Events
 		if eventing {
-			ev = trace.NewEvents(ringCap)
+			ev = trace.NewEvents(obs.JobEventCap)
 		}
 		res, err := cluster.Run(cluster.Job{
 			App:    l.job.App,

@@ -40,8 +40,9 @@ type Job struct {
 // GenerateStream produces the facility's job stream: Jobs arrivals from a
 // Poisson process (exponential gaps, mean cfg.ArrivalMean), each job's
 // application drawn uniformly from the registry, node count drawn from the
-// application's evaluated sizes capped at cfg.MaxJobNodes, and timestep
-// budget drawn uniformly in [MinTimesteps, MaxTimesteps]. Every draw comes
+// application's evaluated sizes capped at min(DefaultMaxJobNodes, Nodes),
+// and timestep budget drawn uniformly in [DefaultMinTimesteps,
+// DefaultMaxTimesteps]. Every draw comes
 // from sim.StreamSeed sub-streams of cfg.Seed: the arrival process has its
 // own stream, and each job's attributes come from the job's own stream, so
 // the stream is reproducible job by job.
@@ -71,16 +72,14 @@ func generateJob(cfg Config, all []*apps.Spec, attrSeedBase, runSeedBase uint64,
 	rng := sim.NewRNG(sim.StreamSeed(attrSeedBase, uint64(i)))
 	base := all[rng.Intn(len(all))]
 
-	counts := eligibleNodeCounts(base, cfg.MaxJobNodes)
+	maxNodes := min(DefaultMaxJobNodes, cfg.Nodes)
+	counts := eligibleNodeCounts(base, maxNodes)
 	if len(counts) == 0 {
-		return nil, fmt.Errorf("fleet: %s has no evaluated node count <= %d", base.Name, cfg.MaxJobNodes)
+		return nil, fmt.Errorf("fleet: %s has no evaluated node count <= %d", base.Name, maxNodes)
 	}
 	nodes := counts[rng.Intn(len(counts))]
 
-	budget := cfg.MinTimesteps
-	if cfg.MaxTimesteps > cfg.MinTimesteps {
-		budget += rng.Intn(cfg.MaxTimesteps - cfg.MinTimesteps + 1)
-	}
+	budget := DefaultMinTimesteps + rng.Intn(DefaultMaxTimesteps-DefaultMinTimesteps+1)
 	spec := *base // shallow clone: workload closures are immutable shared data
 	spec.Timesteps = budget
 	if err := spec.Validate(); err != nil {

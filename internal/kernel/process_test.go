@@ -23,7 +23,7 @@ func (k *testKernel) NewHeap(as *mem.AddrSpace, limit int64, domains []int) (mem
 	if domains == nil {
 		domains = []int{0, 1, 2, 3}
 	}
-	return mem.NewHPCHeap(as, limit, mem.DefaultHPCHeapConfig(domains))
+	return mem.NewHPCHeap(as, limit, domains)
 }
 
 func newTestKernel(t *testing.T, offloadFiles bool) *testKernel {

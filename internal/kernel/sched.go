@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"mklite/internal/sched"
-	"mklite/internal/sim"
-)
+import "mklite/internal/sched"
 
 // NewPolicy builds a scheduling policy of the given kind over this kernel's
 // cost constants, with the standard quantum and tick period filled in by the
@@ -14,88 +11,4 @@ func NewPolicy(kind sched.Kind, costs Costs) (sched.Policy, error) {
 		ContextSwitch: costs.ContextSwitch,
 		TickOverhead:  costs.TickOverhead,
 	})
-}
-
-// SchedConfig describes an explicitly-configured single-core scheduler for
-// the batch schedule microbenchmarks (RunSchedule). Both the paper's LWKs
-// "employ a round-robin, non-preemptive, co-operative scheduler"; Linux
-// time-shares with a periodic tick; McKernel optionally enables time sharing
-// "only on specific CPU cores". Kernel models themselves carry a pluggable
-// sched.Policy instead (see NewPolicy and internal/sched).
-type SchedConfig struct {
-	// Preemptive enables timeslice-driven round robin; otherwise tasks
-	// run to completion in arrival order.
-	Preemptive bool
-	// Timeslice is the preemption quantum (preemptive only).
-	Timeslice sim.Duration
-	// ContextSwitch is charged at every task switch.
-	ContextSwitch sim.Duration
-	// TickPeriod/TickOverhead model the scheduler tick: on tick-driven
-	// kernels every TickPeriod of busy time costs TickOverhead.
-	TickPeriod   sim.Duration
-	TickOverhead sim.Duration
-}
-
-// CooperativeLWK returns the LWK scheduler configuration.
-func CooperativeLWK(costs Costs) SchedConfig {
-	return SchedConfig{
-		Preemptive:    false,
-		ContextSwitch: costs.ContextSwitch,
-	}
-}
-
-// TimeSharing returns a tick-driven preemptive configuration (Linux, or
-// McKernel's optional time-sharing cores).
-func TimeSharing(costs Costs, timeslice, tickPeriod sim.Duration) SchedConfig {
-	return SchedConfig{
-		Preemptive:    true,
-		Timeslice:     timeslice,
-		ContextSwitch: costs.ContextSwitch,
-		TickPeriod:    tickPeriod,
-		TickOverhead:  costs.TickOverhead,
-	}
-}
-
-// SchedResult reports a schedule simulation.
-type SchedResult struct {
-	// Completion[i] is the virtual time task i finished.
-	Completion []sim.Duration
-	// Makespan is the completion time of the last task.
-	Makespan sim.Duration
-	// Switches is the number of context switches taken.
-	Switches int
-	// Overhead is the total non-application time. It decomposes exactly:
-	// Overhead == Switches·ContextSwitch + TickTime.
-	Overhead sim.Duration
-	// TickTime is the tick-charge portion of Overhead.
-	TickTime sim.Duration
-}
-
-// RunSchedule simulates running the given tasks (pure compute demands) on
-// one core under the configuration and returns per-task completion times.
-// Deterministic: no randomness is involved.
-//
-// Tick accounting covers all busy wall time: the tick fires during a context
-// switch exactly as it does during a compute slice, so switch time is
-// stretched by the same TickOverhead/TickPeriod rate. (The model once
-// stretched only compute slices, silently exempting switch time from the
-// tick; see the regression test TestRunScheduleTickChargesSwitchTime.)
-func RunSchedule(tasks []sim.Duration, cfg SchedConfig) SchedResult {
-	kind := sched.Coop
-	if cfg.Preemptive {
-		kind = sched.CFS
-	}
-	r := sched.Run(tasks, kind, sched.Params{
-		Quantum:       cfg.Timeslice,
-		ContextSwitch: cfg.ContextSwitch,
-		TickPeriod:    cfg.TickPeriod,
-		TickOverhead:  cfg.TickOverhead,
-	}, 0)
-	return SchedResult{
-		Completion: r.Completion,
-		Makespan:   r.Makespan,
-		Switches:   r.Switches,
-		Overhead:   r.Overhead,
-		TickTime:   r.TickTime,
-	}
 }

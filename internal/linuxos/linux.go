@@ -22,19 +22,6 @@ type Config struct {
 	// OSCores is the number of cores reserved for system services (the
 	// paper reserves 4).
 	OSCores int
-	// Tuned selects the nohz_full HPC configuration; false models a
-	// stock distribution kernel (used in ablations).
-	Tuned bool
-	// THP enables transparent huge pages for anonymous memory.
-	THP bool
-	// PreferredDomain, if >= 0, is the single NUMA domain a numactl -p
-	// style policy prefers. Linux's set_mempolicy accepts only one
-	// preferred domain: in SNC-4 mode "four such domains exist, but the
-	// current Linux implementation allows only one to be listed".
-	PreferredDomain int
-	// KernelReservation is physical memory claimed by the kernel image
-	// and unmovable structures at boot, spread over the DDR domains.
-	KernelReservation int64
 	// ExtraNoise appends interference sources to the boot profile. The
 	// fault layer's daemon-storm mode injects its rogue daemon here: on a
 	// full-weight kernel nothing shields the application cores, so the
@@ -50,25 +37,23 @@ type Config struct {
 
 // DefaultConfig is the paper's production Linux setup.
 func DefaultConfig() Config {
-	return Config{
-		OSCores:           4,
-		Tuned:             true,
-		THP:               true,
-		PreferredDomain:   -1,
-		KernelReservation: 2 * hw.GiB,
-	}
+	return Config{OSCores: 4}
 }
+
+// kernelReservation is physical memory claimed by the kernel image and
+// unmovable structures at boot, spread over the DDR domains.
+const kernelReservation = 2 * hw.GiB
 
 // Kernel is the Linux model.
 type Kernel struct {
 	kernel.Base
 	cfg    Config
 	procfs *ProcFS
-	// ddr (the DDR domains in id order, NewHeap's default) and
-	// mapDomains (MapPolicy's preference order) are computed once at
-	// boot and read-only afterwards; both are handed out clipped, so a
-	// caller's append copies instead of writing into them.
-	ddr, mapDomains []int
+	// ddr (the DDR domains in id order, the MapPolicy and NewHeap
+	// default) is computed once at boot and read-only afterwards; it is
+	// handed out clipped, so a caller's append copies instead of writing
+	// into it.
+	ddr []int
 }
 
 // Boot constructs a Linux kernel on the given node.
@@ -84,8 +69,8 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 	// The kernel's own footprint: spread over DDR domains, in
 	// scattered chunks (this is what later fragments McKernel's view).
 	ddr := node.DomainsOfKind(hw.DDR4)
-	if cfg.KernelReservation > 0 && len(ddr) > 0 {
-		per := cfg.KernelReservation / int64(len(ddr))
+	if len(ddr) > 0 {
+		per := kernelReservation / int64(len(ddr))
 		for _, d := range ddr {
 			if _, err := phys.Fragment(d, per/8, phys.Capacity(d)/8); err != nil {
 				return nil, fmt.Errorf("linuxos: reserving kernel memory: %w", err)
@@ -101,9 +86,6 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 		return nil, fmt.Errorf("linuxos: %w", err)
 	}
 	prof := noise.LinuxTuned()
-	if !cfg.Tuned {
-		prof = noise.LinuxUntuned()
-	}
 	if kind == sched.Tickless {
 		// Dyntick: with a single HPC task per core the tick is switched
 		// off outright, so the tick-class interference sources vanish.
@@ -124,13 +106,9 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 			KPhys:  phys,
 			KSched: pol,
 		},
-		cfg:        cfg,
-		procfs:     NewProcFS(node),
-		ddr:        ddr,
-		mapDomains: ddr,
-	}
-	if cfg.PreferredDomain >= 0 {
-		k.mapDomains = append([]int{cfg.PreferredDomain}, ddr...)
+		cfg:    cfg,
+		procfs: NewProcFS(node),
+		ddr:    ddr,
 	}
 	return k, nil
 }
@@ -157,17 +135,18 @@ func linuxCaps() kernel.CapSet {
 func (k *Kernel) Config() Config { return k.cfg }
 
 // MapPolicy implements kernel.Kernel. Anonymous memory is demand paged
-// onto the DDR domains (first-touch local); a preferred domain, when set,
-// is consulted first — but it is a single domain, which is exactly why
-// SNC-4 MCDRAM spill cannot be expressed (section III-B: "We chose to use
-// DDR4 RAM only for CCS-QCD when running on Linux").
+// onto the DDR domains (first-touch local) with transparent huge pages.
+// numactl -p could prefer only a single domain, which is exactly why SNC-4
+// MCDRAM spill cannot be expressed (section III-B: "We chose to use DDR4
+// RAM only for CCS-QCD when running on Linux"); the harness's working-set
+// placement models those choices.
 func (k *Kernel) MapPolicy(kind mem.VMAKind) mem.Policy {
-	maxPage := hw.Page4K
-	if k.cfg.THP && kind != mem.VMADevice {
-		maxPage = hw.Page2M
+	maxPage := hw.Page2M
+	if kind == mem.VMADevice {
+		maxPage = hw.Page4K
 	}
 	return mem.Policy{
-		Domains: slices.Clip(k.mapDomains),
+		Domains: slices.Clip(k.ddr),
 		MaxPage: maxPage,
 		Demand:  true,
 	}
@@ -178,7 +157,7 @@ func (k *Kernel) NewHeap(as *mem.AddrSpace, limit int64, domains []int) (mem.Hea
 	if domains == nil {
 		domains = slices.Clip(k.ddr)
 	}
-	return mem.NewLinuxHeap(as, limit, domains, k.cfg.THP)
+	return mem.NewLinuxHeap(as, limit, domains)
 }
 
 var _ kernel.Kernel = (*Kernel)(nil)

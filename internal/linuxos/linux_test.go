@@ -1,12 +1,14 @@
 package linuxos
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"mklite/internal/hw"
 	"mklite/internal/kernel"
 	"mklite/internal/mem"
+	"mklite/internal/noise"
 )
 
 func bootDefault(t *testing.T) *Kernel {
@@ -83,44 +85,11 @@ func TestMapPolicyDefaultsToDDRDemand(t *testing.T) {
 		t.Fatalf("THP max page = %v", pol.MaxPage)
 	}
 	node := k.Partition().Node
-	for i, d := range node.DomainsOfKind(hw.DDR4) {
-		if pol.Domains[i] != d {
-			t.Fatalf("policy domains %v, want DDR first", pol.Domains)
-		}
+	if !slices.Equal(pol.Domains, node.DomainsOfKind(hw.DDR4)) {
+		t.Fatalf("policy domains %v, want the DDR domains", pol.Domains)
 	}
-}
-
-func TestMapPolicySinglePreferredDomain(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PreferredDomain = 4 // one MCDRAM quadrant: all numactl -p can express
-	k, err := Boot(hw.KNL7250SNC4(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := k.MapPolicy(mem.VMAAnon)
-	if pol.Domains[0] != 4 {
-		t.Fatalf("preferred domain not first: %v", pol.Domains)
-	}
-	// Exactly one MCDRAM domain in the preference list: the SNC-4
-	// limitation.
-	mcdram := 0
-	node := k.Partition().Node
-	for _, d := range pol.Domains {
-		if dom, err := node.Domain(d); err == nil && dom.Mem.Kind == hw.MCDRAM {
-			mcdram++
-		}
-	}
-	if mcdram != 1 {
-		t.Fatalf("%d MCDRAM domains in Linux policy, want exactly 1", mcdram)
-	}
-}
-
-func TestTHPOffUsesSmallPages(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.THP = false
-	k, _ := Boot(hw.KNL7250SNC4(), cfg)
-	if k.MapPolicy(mem.VMAAnon).MaxPage != hw.Page4K {
-		t.Fatal("THP off should cap at 4K")
+	if got := k.MapPolicy(mem.VMADevice).MaxPage; got != hw.Page4K {
+		t.Fatalf("device mappings max page = %v, want 4K", got)
 	}
 }
 
@@ -138,12 +107,14 @@ func TestNewHeapIsLinuxHeap(t *testing.T) {
 	}
 }
 
+// Linux boots the tuned (nohz_full) profile; the stock distribution
+// profile the ablations compare it with is noisier.
 func TestUntunedNoisier(t *testing.T) {
-	tuned := bootDefault(t)
-	cfg := DefaultConfig()
-	cfg.Tuned = false
-	untuned, _ := Boot(hw.KNL7250SNC4(), cfg)
-	if untuned.Noise().ExpectedRate(1) <= tuned.Noise().ExpectedRate(1) {
+	tuned := bootDefault(t).Noise().ExpectedRate(1)
+	if want := noise.LinuxTuned().ExpectedRate(1); tuned != want {
+		t.Fatalf("booted noise rate %v, want the tuned profile's %v", tuned, want)
+	}
+	if noise.LinuxUntuned().ExpectedRate(1) <= tuned {
 		t.Fatal("untuned kernel should be noisier")
 	}
 }

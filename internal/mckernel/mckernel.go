@@ -36,9 +36,6 @@ type Options struct {
 	// shared library and turns it into a no-op, eliminating user/kernel
 	// mode switches ("--disable-sched-yield").
 	DisableSchedYield bool
-	// TimeSharingCores optionally enables time sharing, "but ... only
-	// on specific CPU cores".
-	TimeSharingCores []int
 	// Sched selects the scheduling policy of LWK cores; empty means the
 	// McKernel default (sched.Coop, the cooperative run-to-completion
 	// scheduler the paper describes).
@@ -191,11 +188,11 @@ func (k *Kernel) NewHeap(as *mem.AddrSpace, limit int64, domains []int) (mem.Hea
 		domains = slices.Clip(k.domains)
 	}
 	if k.opts.HPCBrk {
-		return mem.NewHPCHeap(as, limit, mem.DefaultHPCHeapConfig(domains))
+		return mem.NewHPCHeap(as, limit, domains)
 	}
 	// The non-optimised branch behaves like a plain demand-paged heap
 	// (Linux-equivalent semantics, huge pages where alignment allows).
-	return mem.NewLinuxHeap(as, limit, domains, true)
+	return mem.NewLinuxHeap(as, limit, domains)
 }
 
 // SyscallTime implements kernel.Kernel, honouring --disable-sched-yield:

@@ -90,7 +90,6 @@ type LinuxHeap struct {
 	as   *AddrSpace
 	vma  *VMA
 	size int64 // current program break offset
-	thp  bool
 	st   HeapStats
 	// segs records growth segments [start,end) so that first-touch can
 	// honour THP's alignment rule per segment; touchIdx is the first
@@ -102,17 +101,14 @@ type LinuxHeap struct {
 type heapSeg struct{ start, end int64 }
 
 // NewLinuxHeap reserves maxSize of virtual space for the heap, demand
-// paged, preferring the given domains on first touch.
-func NewLinuxHeap(as *AddrSpace, maxSize int64, domains []int, thp bool) (*LinuxHeap, error) {
-	maxPage := hw.Page4K
-	if thp {
-		maxPage = hw.Page2M
-	}
-	v, err := as.Map(maxSize, VMAHeap, Policy{Domains: domains, MaxPage: maxPage, Demand: true})
+// paged with transparent huge pages, preferring the given domains on first
+// touch.
+func NewLinuxHeap(as *AddrSpace, maxSize int64, domains []int) (*LinuxHeap, error) {
+	v, err := as.Map(maxSize, VMAHeap, Policy{Domains: domains, MaxPage: hw.Page2M, Demand: true})
 	if err != nil {
 		return nil, fmt.Errorf("mem: linux heap reserve: %w", err)
 	}
-	return &LinuxHeap{as: as, vma: v, thp: thp}, nil
+	return &LinuxHeap{as: as, vma: v}, nil
 }
 
 // Sbrk implements Heap.
@@ -202,7 +198,7 @@ func (h *LinuxHeap) TouchUpTo(limit int64) Work {
 			end = limit
 		}
 		page := hw.Page4K
-		if h.thp && seg.start%int64(hw.Page2M) == 0 && end-seg.start >= int64(hw.Page2M) {
+		if seg.start%int64(hw.Page2M) == 0 && end-seg.start >= int64(hw.Page2M) {
 			page = hw.Page2M
 		}
 		res := h.as.TouchWithPage(h.vma, seg.start, end-seg.start, page)
@@ -231,37 +227,9 @@ func (h *LinuxHeap) Stats() HeapStats { return h.st }
 // --------------------------------------------------------------------------
 // HPC heap (LWK)
 
-// HPCHeapConfig tunes the LWK heap engine.
-type HPCHeapConfig struct {
-	// Domains is the NUMA preference order for heap pages.
-	Domains []int
-	// ChunkAlign is the growth granularity; the paper's kernels use
-	// 2 MiB.
-	ChunkAlign int64
-	// Aggressive enables the "aggressively extend the heap" behaviour:
-	// each expansion reserves at least half the current heap size, so
-	// runs of small brk calls hit pre-extended memory.
-	Aggressive bool
-	// ZeroFirst4K clears only the first 4 KiB of each fresh 2 MiB
-	// chunk — the AMG 2013 bug workaround described in section IV.
-	ZeroFirst4K bool
-	// IgnoreShrink drops negative brk requests (LWK behaviour: "many
-	// high-end HPC applications allocate memory at the beginning and
-	// retain it"). When false the engine releases memory like Linux,
-	// which exists so tests can isolate the effect.
-	IgnoreShrink bool
-}
-
-// DefaultHPCHeapConfig returns the paper's LWK heap behaviour.
-func DefaultHPCHeapConfig(domains []int) HPCHeapConfig {
-	return HPCHeapConfig{
-		Domains:      domains,
-		ChunkAlign:   int64(hw.Page2M),
-		Aggressive:   true,
-		ZeroFirst4K:  true,
-		IgnoreShrink: true,
-	}
-}
+// hpcChunk is the LWK heap's growth granularity: the paper's kernels back
+// the heap in 2 MiB chunks.
+const hpcChunk = int64(hw.Page2M)
 
 // HPCHeap models the LWK heap: 2 MiB aligned growth, physical pages
 // allocated at brk time (so the application never faults on the heap),
@@ -269,26 +237,23 @@ func DefaultHPCHeapConfig(domains []int) HPCHeapConfig {
 type HPCHeap struct {
 	as       *AddrSpace
 	vma      *VMA
-	cfg      HPCHeapConfig
 	size     int64 // program break as seen by the application
 	reserved int64 // physically backed bytes (>= size)
 	st       HeapStats
 }
 
-// NewHPCHeap reserves maxSize of virtual space managed by the HPC engine.
-func NewHPCHeap(as *AddrSpace, maxSize int64, cfg HPCHeapConfig) (*HPCHeap, error) {
-	if cfg.ChunkAlign <= 0 {
-		cfg.ChunkAlign = int64(hw.Page2M)
-	}
+// NewHPCHeap reserves maxSize of virtual space managed by the HPC engine,
+// preferring the given domains in order.
+func NewHPCHeap(as *AddrSpace, maxSize int64, domains []int) (*HPCHeap, error) {
 	v, err := as.Map(maxSize, VMAHeap, Policy{
-		Domains: cfg.Domains,
+		Domains: domains,
 		MaxPage: hw.Page2M,
 		Demand:  true, // population is driven explicitly at brk time
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mem: hpc heap reserve: %w", err)
 	}
-	return &HPCHeap{as: as, vma: v, cfg: cfg}, nil
+	return &HPCHeap{as: as, vma: v}, nil
 }
 
 // Sbrk implements Heap.
@@ -309,18 +274,12 @@ func (h *HPCHeap) Sbrk(delta int64) (int64, Work, error) {
 			return h.size, w, fmt.Errorf("mem: heap limit exceeded (%d > %d)", newSize, h.vma.Size)
 		}
 		if newSize > h.reserved {
-			// Extend physical backing in aligned chunks; the
-			// aggressive mode over-reserves to absorb future
-			// growth without further kernel work.
-			target := roundUp(newSize, h.cfg.ChunkAlign)
-			if h.cfg.Aggressive {
-				// Over-reserve by half the new size so runs of
-				// small brk calls are absorbed without further
-				// allocation ("aggressively extend the heap to
-				// avoid contention ... in subsequent brk
-				// calls").
-				target = roundUp(newSize+newSize/2, h.cfg.ChunkAlign)
-			}
+			// Extend physical backing in aligned chunks,
+			// over-reserving by half the new size so runs of small
+			// brk calls are absorbed without further allocation
+			// ("aggressively extend the heap to avoid contention
+			// ... in subsequent brk calls").
+			target := roundUp(newSize+newSize/2, hpcChunk)
 			if target > h.vma.Size {
 				target = h.vma.Size
 			}
@@ -332,12 +291,10 @@ func (h *HPCHeap) Sbrk(delta int64) (int64, Work, error) {
 			}
 			h.reserved += grown
 			w.AllocatedBytes += grown
-			w.PagesMapped += grown / h.cfg.ChunkAlign
-			if h.cfg.ZeroFirst4K {
-				w.ZeroedBytes += (grown / h.cfg.ChunkAlign) * int64(hw.Page4K)
-			} else {
-				w.ZeroedBytes += grown
-			}
+			w.PagesMapped += grown / hpcChunk
+			// Only the first 4 KiB of each fresh chunk is cleared:
+			// the AMG 2013 bug workaround of section IV.
+			w.ZeroedBytes += (grown / hpcChunk) * int64(hw.Page4K)
 			h.st.ZeroedBytes += w.ZeroedBytes
 			sink.CountKey(trace.KeyHeapZeroedBytes, w.ZeroedBytes)
 		}
@@ -355,17 +312,11 @@ func (h *HPCHeap) Sbrk(delta int64) (int64, Work, error) {
 		}
 		// The break always moves (glibc's view of the heap stays
 		// consistent — the trace's 87 MB peak vs 22 GB cumulative
-		// growth requires it), but with IgnoreShrink the physical
-		// memory is retained: "mOS does not return memory to the
-		// system when the heap shrinks".
+		// growth requires it), but the physical memory is retained:
+		// "many high-end HPC applications allocate memory at the
+		// beginning and retain it", and "mOS does not return memory to
+		// the system when the heap shrinks".
 		h.size -= shrink
-		if !h.cfg.IgnoreShrink {
-			freed := h.as.Trim(h.vma, h.size)
-			h.reserved -= freed
-			h.st.ShrunkBytes += freed
-			w.FreedBytes += freed
-			sink.CountKey(trace.KeyHeapShrunkBytes, freed)
-		}
 	}
 	return h.size, w, nil
 }

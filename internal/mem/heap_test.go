@@ -6,23 +6,20 @@ import (
 	"mklite/internal/hw"
 )
 
-func newLinuxHeap(t *testing.T, thp bool) *LinuxHeap {
+func newLinuxHeap(t *testing.T) *LinuxHeap {
 	t.Helper()
 	as := NewAddrSpace(newKNLPhys())
-	h, err := NewLinuxHeap(as, 1*hw.GiB, []int{0, 1, 2, 3}, thp)
+	h, err := NewLinuxHeap(as, 1*hw.GiB, []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return h
 }
 
-func newHPCHeap(t *testing.T, cfg HPCHeapConfig) *HPCHeap {
+func newHPCHeap(t *testing.T) *HPCHeap {
 	t.Helper()
 	as := NewAddrSpace(newKNLPhys())
-	if cfg.Domains == nil {
-		cfg.Domains = []int{4, 5, 6, 7, 0, 1, 2, 3}
-	}
-	h, err := NewHPCHeap(as, 1*hw.GiB, cfg)
+	h, err := NewHPCHeap(as, 1*hw.GiB, []int{4, 5, 6, 7, 0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +27,7 @@ func newHPCHeap(t *testing.T, cfg HPCHeapConfig) *HPCHeap {
 }
 
 func TestLinuxHeapGrowDefersPhysical(t *testing.T) {
-	h := newLinuxHeap(t, false)
+	h := newLinuxHeap(t)
 	size, w, err := h.Sbrk(10 * hw.MiB)
 	if err != nil {
 		t.Fatal(err)
@@ -47,23 +44,24 @@ func TestLinuxHeapGrowDefersPhysical(t *testing.T) {
 }
 
 func TestLinuxHeapTouchFaults4K(t *testing.T) {
-	h := newLinuxHeap(t, false)
-	h.Sbrk(4 * hw.MiB)
-	w := h.TouchUpTo(4 * hw.MiB)
-	if w.Faults != 1024 {
-		t.Fatalf("faults = %d, want 1024 (4KiB pages)", w.Faults)
+	h := newLinuxHeap(t)
+	// A growth below 2 MiB is not THP eligible: 4 KiB faults.
+	h.Sbrk(1 * hw.MiB)
+	w := h.TouchUpTo(1 * hw.MiB)
+	if w.Faults != 256 {
+		t.Fatalf("faults = %d, want 256 (4KiB pages)", w.Faults)
 	}
-	if w.ZeroedBytes != 4*hw.MiB {
+	if w.ZeroedBytes != 1*hw.MiB {
 		t.Fatalf("zeroed = %d, Linux clears every faulted page", w.ZeroedBytes)
 	}
 	// Second touch is free.
-	if w := h.TouchUpTo(4 * hw.MiB); w.Faults != 0 {
+	if w := h.TouchUpTo(1 * hw.MiB); w.Faults != 0 {
 		t.Fatalf("re-touch faulted %d", w.Faults)
 	}
 }
 
 func TestLinuxHeapTHPOnlyWhenAligned(t *testing.T) {
-	h := newLinuxHeap(t, true)
+	h := newLinuxHeap(t)
 	// Aligned 4 MiB growth from an aligned (zero) break: THP applies.
 	h.Sbrk(4 * hw.MiB)
 	w := h.TouchUpTo(4 * hw.MiB)
@@ -81,7 +79,7 @@ func TestLinuxHeapTHPOnlyWhenAligned(t *testing.T) {
 }
 
 func TestLinuxHeapShrinkReleasesAndRefaults(t *testing.T) {
-	h := newLinuxHeap(t, false)
+	h := newLinuxHeap(t)
 	h.Sbrk(8 * hw.MiB)
 	h.TouchUpTo(8 * hw.MiB)
 	size, w, err := h.Sbrk(-4 * hw.MiB)
@@ -94,16 +92,17 @@ func TestLinuxHeapShrinkReleasesAndRefaults(t *testing.T) {
 	if w.FreedBytes != 4*hw.MiB {
 		t.Fatalf("freed = %d, Linux returns memory on shrink", w.FreedBytes)
 	}
-	// Regrow and re-touch: the released range must fault again.
+	// Regrow and re-touch: the released range must fault again (as two
+	// THP faults: the regrowth starts on the 2 MiB aligned break).
 	h.Sbrk(4 * hw.MiB)
 	w2 := h.TouchUpTo(8 * hw.MiB)
-	if w2.Faults != 1024 {
-		t.Fatalf("refaults = %d, want 1024", w2.Faults)
+	if w2.Faults != 2 {
+		t.Fatalf("refaults = %d, want 2", w2.Faults)
 	}
 }
 
 func TestLinuxHeapShrinkBelowZeroClamps(t *testing.T) {
-	h := newLinuxHeap(t, false)
+	h := newLinuxHeap(t)
 	h.Sbrk(1 * hw.MiB)
 	size, _, err := h.Sbrk(-10 * hw.MiB)
 	if err != nil || size != 0 {
@@ -112,7 +111,7 @@ func TestLinuxHeapShrinkBelowZeroClamps(t *testing.T) {
 }
 
 func TestLinuxHeapQuery(t *testing.T) {
-	h := newLinuxHeap(t, false)
+	h := newLinuxHeap(t)
 	h.Sbrk(1024)
 	size, _, _ := h.Sbrk(0)
 	if size != 1024 {
@@ -124,14 +123,14 @@ func TestLinuxHeapQuery(t *testing.T) {
 }
 
 func TestLinuxHeapLimit(t *testing.T) {
-	h := newLinuxHeap(t, false)
+	h := newLinuxHeap(t)
 	if _, _, err := h.Sbrk(2 * hw.GiB); err == nil {
 		t.Fatal("over-limit grow accepted")
 	}
 }
 
 func TestHPCHeapBacksAtBrkTime(t *testing.T) {
-	h := newHPCHeap(t, DefaultHPCHeapConfig(nil))
+	h := newHPCHeap(t)
 	_, w, err := h.Sbrk(3 * hw.MiB)
 	if err != nil {
 		t.Fatal(err)
@@ -149,18 +148,20 @@ func TestHPCHeapBacksAtBrkTime(t *testing.T) {
 }
 
 func TestHPCHeapZeroFirst4KOnly(t *testing.T) {
-	cfg := DefaultHPCHeapConfig(nil)
-	cfg.Aggressive = false
-	h := newHPCHeap(t, cfg)
+	h := newHPCHeap(t)
 	_, w, _ := h.Sbrk(4 * hw.MiB)
-	// Two 2MiB chunks, 4KiB zeroed each.
-	if w.ZeroedBytes != 2*int64(hw.Page4K) {
-		t.Fatalf("zeroed = %d, want 8KiB", w.ZeroedBytes)
+	// 4 MiB plus the half-size over-reserve: three 2MiB chunks, 4KiB
+	// zeroed each.
+	if w.AllocatedBytes != 6*hw.MiB {
+		t.Fatalf("allocated = %d, want 6MiB", w.AllocatedBytes)
+	}
+	if w.ZeroedBytes != 3*int64(hw.Page4K) {
+		t.Fatalf("zeroed = %d, want 12KiB", w.ZeroedBytes)
 	}
 }
 
 func TestHPCHeapIgnoresShrink(t *testing.T) {
-	h := newHPCHeap(t, DefaultHPCHeapConfig(nil))
+	h := newHPCHeap(t)
 	h.Sbrk(8 * hw.MiB)
 	reserved := h.reserved
 	size, w, err := h.Sbrk(-4 * hw.MiB)
@@ -183,25 +184,8 @@ func TestHPCHeapIgnoresShrink(t *testing.T) {
 	}
 }
 
-func TestHPCHeapShrinkHonouredWhenConfigured(t *testing.T) {
-	cfg := DefaultHPCHeapConfig(nil)
-	cfg.IgnoreShrink = false
-	cfg.Aggressive = false
-	h := newHPCHeap(t, cfg)
-	h.Sbrk(8 * hw.MiB)
-	size, w, _ := h.Sbrk(-4 * hw.MiB)
-	if size != 4*hw.MiB {
-		t.Fatalf("size = %d", size)
-	}
-	if w.FreedBytes != 4*hw.MiB {
-		t.Fatalf("freed = %d", w.FreedBytes)
-	}
-}
-
 func TestHPCHeapAggressiveOverReserves(t *testing.T) {
-	cfg := DefaultHPCHeapConfig(nil)
-	cfg.Aggressive = true
-	h := newHPCHeap(t, cfg)
+	h := newHPCHeap(t)
 	h.Sbrk(16 * hw.MiB)
 	// A small subsequent grow should be absorbed by the over-reserve
 	// with no new allocation.
@@ -217,9 +201,7 @@ func TestHPCHeapAggressiveOverReserves(t *testing.T) {
 func TestHPCHeapGrowReusesRetainedMemory(t *testing.T) {
 	// Shrink then regrow: the retained pages are reused with no new
 	// allocation — the LWK pattern that kills the LTP page-fault test.
-	cfg := DefaultHPCHeapConfig(nil)
-	cfg.Aggressive = false
-	h := newHPCHeap(t, cfg)
+	h := newHPCHeap(t)
 	h.Sbrk(8 * hw.MiB)
 	h.Sbrk(-8 * hw.MiB) // break moves to 0; physical memory retained
 	size, w, _ := h.Sbrk(2 * hw.MiB)
@@ -232,7 +214,7 @@ func TestHPCHeapGrowReusesRetainedMemory(t *testing.T) {
 }
 
 func TestHPCHeapPreferredDomainsMCDRAM(t *testing.T) {
-	h := newHPCHeap(t, DefaultHPCHeapConfig(nil))
+	h := newHPCHeap(t)
 	h.Sbrk(64 * hw.MiB)
 	if h.as.BytesOfKind(hw.MCDRAM) == 0 {
 		t.Fatal("HPC heap did not allocate from MCDRAM first")
@@ -240,7 +222,7 @@ func TestHPCHeapPreferredDomainsMCDRAM(t *testing.T) {
 }
 
 func TestHPCHeapQueryAndStats(t *testing.T) {
-	h := newHPCHeap(t, DefaultHPCHeapConfig(nil))
+	h := newHPCHeap(t)
 	h.Sbrk(0)
 	h.Sbrk(1 * hw.MiB)
 	h.Sbrk(-512 * 1024)
@@ -257,7 +239,7 @@ func TestHPCHeapQueryAndStats(t *testing.T) {
 }
 
 func TestHPCHeapLimit(t *testing.T) {
-	h := newHPCHeap(t, DefaultHPCHeapConfig(nil))
+	h := newHPCHeap(t)
 	if _, _, err := h.Sbrk(2 * hw.GiB); err == nil {
 		t.Fatal("over-limit grow accepted")
 	}
@@ -291,9 +273,9 @@ func TestLuleshBrkTraceShape(t *testing.T) {
 		return faults, st.Calls()
 	}
 
-	lin := newLinuxHeap(t, false)
+	lin := newLinuxHeap(t)
 	linFaults, linCalls := run(lin)
-	hpc := newHPCHeap(t, DefaultHPCHeapConfig(nil))
+	hpc := newHPCHeap(t)
 	hpcFaults, hpcCalls := run(hpc)
 
 	if linCalls != hpcCalls {

@@ -23,17 +23,9 @@ import (
 
 // Config tunes an mOS boot.
 type Config struct {
-	// OSCores stay with the Linux side (paper: 4).
-	OSCores int
-	// MemFraction of each NUMA domain is grabbed for the LWK at early
-	// boot, before Linux places unmovable structures.
-	MemFraction float64
 	// HeapManagement enables the HPC heap optimisations ("in mOS this
 	// feature can be toggled by a runtime option") — Table I's subject.
 	HeapManagement bool
-	// LinuxReservation is the Linux side's own footprint, reserved
-	// *after* the LWK grab.
-	LinuxReservation int64
 	// Sched selects the scheduling policy of LWK cores; empty means the
 	// mOS default (sched.Coop, cooperative run-to-completion).
 	Sched sched.Kind
@@ -41,13 +33,18 @@ type Config struct {
 
 // DefaultConfig is the paper's deployment configuration.
 func DefaultConfig() Config {
-	return Config{
-		OSCores:          4,
-		MemFraction:      0.95,
-		HeapManagement:   true,
-		LinuxReservation: 2 * hw.GiB,
-	}
+	return Config{HeapManagement: true}
 }
+
+// The paper's deployment: 4 cores stay with the Linux side, memFraction of
+// each NUMA domain is grabbed for the LWK at early boot (before Linux places
+// unmovable structures), and the Linux side's own footprint,
+// linuxReservation, is reserved after the LWK grab.
+const (
+	osCores          = 4
+	memFraction      = 0.95
+	linuxReservation = 2 * hw.GiB
+)
 
 // Kernel is the mOS model.
 type Kernel struct {
@@ -68,10 +65,7 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 	if err := node.Validate(); err != nil {
 		return nil, fmt.Errorf("mos: %w", err)
 	}
-	if cfg.MemFraction <= 0 || cfg.MemFraction > 1 {
-		return nil, fmt.Errorf("mos: bad MemFraction %v", cfg.MemFraction)
-	}
-	part, err := kernel.DefaultPartition(node, cfg.OSCores)
+	part, err := kernel.DefaultPartition(node, osCores)
 	if err != nil {
 		return nil, fmt.Errorf("mos: %w", err)
 	}
@@ -80,7 +74,7 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 	whole := mem.NewPhys(node)
 	var grants []mem.Extent
 	for _, d := range node.Domains {
-		want := int64(float64(d.Mem.Capacity)*cfg.MemFraction) / int64(hw.Page2M) * int64(hw.Page2M)
+		want := int64(float64(d.Mem.Capacity)*memFraction) / int64(hw.Page2M) * int64(hw.Page2M)
 		if want == 0 {
 			continue
 		}
@@ -100,12 +94,10 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 	// fragment the LWK's blocks). Its extents are never handed back, so
 	// one buffer serves every domain.
 	ddr := node.DomainsOfKind(hw.DDR4)
-	if cfg.LinuxReservation > 0 {
-		per := cfg.LinuxReservation / int64(len(ddr))
-		var linuxExts []mem.Extent
-		for _, d := range ddr {
-			linuxExts, _ = whole.AllocUpTo(linuxExts[:0], d, per, int64(hw.Page4K))
-		}
+	per := linuxReservation / int64(len(ddr))
+	var linuxExts []mem.Extent
+	for _, d := range ddr {
+		linuxExts, _ = whole.AllocUpTo(linuxExts[:0], d, per, int64(hw.Page4K))
 	}
 	kind := cfg.Sched
 	if kind == "" {
@@ -195,11 +187,11 @@ func (k *Kernel) NewHeap(as *mem.AddrSpace, limit int64, domains []int) (mem.Hea
 		domains = slices.Clip(k.domains)
 	}
 	if k.cfg.HeapManagement {
-		return mem.NewHPCHeap(as, limit, mem.DefaultHPCHeapConfig(domains))
+		return mem.NewHPCHeap(as, limit, domains)
 	}
 	// Heap management disabled: mOS shares the Linux kernel, so the
 	// fallback is the stock Linux heap (demand paged, THP eligible).
-	return mem.NewLinuxHeap(as, limit, domains, true)
+	return mem.NewLinuxHeap(as, limit, domains)
 }
 
 var _ kernel.Kernel = (*Kernel)(nil)

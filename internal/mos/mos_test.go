@@ -28,15 +28,15 @@ func TestBootIdentity(t *testing.T) {
 }
 
 func TestBootValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MemFraction = 0
-	if _, err := Boot(hw.KNL7250SNC4(), cfg); err == nil {
-		t.Fatal("bad fraction accepted")
+	node := hw.KNL7250SNC4()
+	node.Cores = nil
+	if _, err := Boot(node, DefaultConfig()); err == nil {
+		t.Fatal("invalid node accepted")
 	}
-	cfg = DefaultConfig()
-	cfg.OSCores = 100
+	cfg := DefaultConfig()
+	cfg.Sched = "fifo"
 	if _, err := Boot(hw.KNL7250SNC4(), cfg); err == nil {
-		t.Fatal("bad cores accepted")
+		t.Fatal("unknown scheduler accepted")
 	}
 }
 

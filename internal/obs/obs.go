@@ -60,16 +60,14 @@ type Options struct {
 	// launch time). Requires Timeline. Meant for small runs: at facility
 	// scale the per-job detail dwarfs the occupancy spans.
 	JobEvents bool
-	// JobEventCap bounds each job-local ring (0 selects DefaultJobEventCap).
-	// A job ring that evicts merges with its loss folded into the
-	// timeline's dropped count, so the exported document stays honest.
-	JobEventCap int
 }
 
-// DefaultJobEventCap bounds a job-local event ring when Options.JobEventCap
-// is zero: generous enough that a facility-sized job (a few dozen timesteps,
-// six phase spans each, plus collective instants) never evicts.
-const DefaultJobEventCap = 1 << 14
+// JobEventCap bounds each job-local event ring: generous enough that a
+// facility-sized job (a few dozen timesteps, six phase spans each, plus
+// collective instants) never evicts. A job ring that does evict merges with
+// its loss folded into the timeline's dropped count, so the exported
+// document stays honest.
+const JobEventCap = 1 << 14
 
 // TimelineOn reports whether a facility timeline is attached.
 func (o *Options) TimelineOn() bool { return o != nil && o.Timeline != nil }
@@ -80,14 +78,6 @@ func (o *Options) JobCountersOn() bool { return o != nil && o.JobCounters }
 // JobEventsOn reports whether per-job event collection is requested (it
 // needs a timeline to merge into).
 func (o *Options) JobEventsOn() bool { return o != nil && o.JobEvents && o.Timeline != nil }
-
-// JobEventRingCap returns the per-job ring capacity to use.
-func (o *Options) JobEventRingCap() int {
-	if o == nil || o.JobEventCap <= 0 {
-		return DefaultJobEventCap
-	}
-	return o.JobEventCap
-}
 
 // Enabled reports whether any observability backend is on — the scheduler's
 // single fast-path test.

@@ -267,11 +267,8 @@ func TestOptionsNilSafe(t *testing.T) {
 	if o.TimelineOn() || o.JobCountersOn() || o.JobEventsOn() || o.Enabled() {
 		t.Fatal("nil Options should disable everything")
 	}
-	if got := o.JobEventRingCap(); got != DefaultJobEventCap {
-		t.Fatalf("nil Options ring cap = %d, want default %d", got, DefaultJobEventCap)
-	}
-	on := &Options{Timeline: NewTimeline(1, 1, 0), JobEvents: true, JobEventCap: 64}
-	if !on.TimelineOn() || !on.JobEventsOn() || !on.Enabled() || on.JobEventRingCap() != 64 {
+	on := &Options{Timeline: NewTimeline(1, 1, 0), JobEvents: true}
+	if !on.TimelineOn() || !on.JobEventsOn() || !on.Enabled() {
 		t.Fatal("populated Options misreported its switches")
 	}
 	if (&Options{JobEvents: true}).JobEventsOn() {

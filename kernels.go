@@ -4,33 +4,15 @@ import (
 	"fmt"
 	"strings"
 
-	"mklite/internal/hw"
+	"mklite/internal/cluster"
 	"mklite/internal/kernel"
-	"mklite/internal/linuxos"
-	"mklite/internal/mckernel"
 	"mklite/internal/metrics"
-	"mklite/internal/mos"
 	"mklite/internal/nodesim"
 	"mklite/internal/noise"
 	"mklite/internal/sim"
 	"mklite/internal/stats"
 	"mklite/internal/trace"
 )
-
-// bootForType builds a default-configured kernel model on a fresh KNL node.
-func bootForType(kt kernel.Type) (kernel.Kernel, error) {
-	node := hw.KNL7250SNC4()
-	switch kt {
-	case kernel.TypeLinux:
-		return linuxos.Boot(node, linuxos.DefaultConfig())
-	case kernel.TypeMcKernel:
-		k, _, err := mckernel.Deploy(node, mckernel.DefaultOptions())
-		return k, err
-	case kernel.TypeMOS:
-		return mos.Boot(node, mos.DefaultConfig())
-	}
-	return nil, fmt.Errorf("mklite: unknown kernel type %v", kt)
-}
 
 // KernelInfo summarises one kernel model's behaviour surface.
 type KernelInfo struct {
@@ -57,7 +39,7 @@ func Describe(k Kernel) (KernelInfo, error) {
 	if err != nil {
 		return KernelInfo{}, err
 	}
-	kern, err := bootForType(kt)
+	kern, err := cluster.Boot(kt)
 	if err != nil {
 		return KernelInfo{}, err
 	}
@@ -191,7 +173,7 @@ func SimulateNode(k Kernel, cfg NodeSimConfig) (NodeSimResult, error) {
 	if err != nil {
 		return NodeSimResult{}, err
 	}
-	kern, err := bootForType(kt)
+	kern, err := cluster.Boot(kt)
 	if err != nil {
 		return NodeSimResult{}, err
 	}

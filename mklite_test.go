@@ -266,6 +266,29 @@ func TestQuadrantOption(t *testing.T) {
 	}
 }
 
+// The DDR4-only comparison honours the experiment configuration: a fault
+// plan reaches both of its runs.
+func TestReproduceCCSQCDDDROnlyFacade(t *testing.T) {
+	cfg := ExperimentConfig{Reps: 2, Seed: 1, Quick: true}
+	clean, err := ReproduceCCSQCDDDROnly(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.Nodes != 64 || clean.SlowdownPercent <= 0 {
+		t.Fatalf("clean: %+v", clean)
+	}
+	if cfg.Faults, err = ParseFaults("straggler:node=0,extra=2ms"); err != nil {
+		t.Fatal(err)
+	}
+	slow, err := ReproduceCCSQCDDDROnly(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.SpillFOM >= clean.SpillFOM || slow.DDROnlyFOM >= clean.DDROnlyFOM {
+		t.Fatalf("straggler plan did not slow both runs: clean %+v, faulted %+v", clean, slow)
+	}
+}
+
 func TestReproduceQuadrantFacade(t *testing.T) {
 	rows, err := ReproduceQuadrant(ExperimentConfig{Reps: 2, Seed: 1, Quick: true})
 	if err != nil {
